@@ -1,14 +1,9 @@
-"""Hot numeric kernels with a numba JIT path and a pure-numpy fallback.
-
-The JIT path is used by default whenever numba imports cleanly.  Setting the
-environment variable ``ASYMSQUEEZE_NO_JIT=1`` before import forces the numpy
-path (useful for debugging and for the benchmark in ``benchmarks/``).  Both
-implementations are always defined so they can be compared directly; only the
-public aliases at the bottom of this module switch.
+"""Hot numeric kernels, vectorised with numpy.
 
 Kernels:
   * ``bell_values``       -- CHSH combination of displaced-parity correlations
-                             evaluated pointwise over flat parameter arrays
+                             from the Wigner coefficients m1, m2, m3,
+                             broadcast over the settings
   * ``fock_series_table`` -- amplitude table of the squeezed vacuum expanded
                              as a product of three commuting exponential series
   * ``teleport_integrand`` -- fidelity integrand |chi_in|^2 * chi_E(-eta*, -eta)
@@ -16,84 +11,26 @@ Kernels:
 """
 
 import math
-import os
 
 import numpy as np
-
-_NO_JIT_FLAG = os.environ.get("ASYMSQUEEZE_NO_JIT", "0").lower() in ("1", "true", "yes")
-
-try:
-    from numba import njit
-
-    _NUMBA_OK = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _NUMBA_OK = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def jit_enabled():
-    """True when the public kernel aliases point at the compiled path."""
-    return _NUMBA_OK and not _NO_JIT_FLAG
-
 
 # ---------------------------------------------------------------------------
 # CHSH combination of four displaced-parity expectations.
 # Exponents follow from the closed-form Wigner function of the state at the
 # four displacement settings (0,0), (alpha,0), (0,beta), (alpha,beta) with
-# alpha = sqrt(J) e^{i phi}, beta = sqrt(J) e^{i theta}.
+# alpha = sqrt(J) e^{i phi}, beta = sqrt(J) e^{i theta}:
+#   a = m1 cos^2(phi) + m2 sin^2(phi),   b = m1 sin^2(theta) + m2 cos^2(theta)
+#   B = 1 + e^{-2Ja} + e^{-2Jb} - e^{-2J(a + b) + 4J cos(theta + phi) m3}
 # ---------------------------------------------------------------------------
 
 
-def bell_values_numpy(lam, gamma, j, theta, phi):
-    c2 = np.cosh(lam) ** 2
-    s2 = np.sinh(lam) ** 2
-    e2g = np.exp(2.0 * gamma)
-    em2g = np.exp(-2.0 * gamma)
-    m3 = np.cosh(gamma) * np.sinh(2.0 * lam)
-    t1 = np.exp(-2.0 * j * c2 - 2.0 * j * (e2g * np.cos(phi) ** 2 + em2g * np.sin(phi) ** 2) * s2)
-    t2 = np.exp(-2.0 * j * c2 - 2.0 * j * (e2g * np.sin(theta) ** 2 + em2g * np.cos(theta) ** 2) * s2)
-    t3 = np.exp(
-        -4.0 * j * c2
-        - 2.0 * j * (np.cos(phi) ** 2 + np.sin(theta) ** 2) * e2g * s2
-        - 2.0 * j * (np.sin(phi) ** 2 + np.cos(theta) ** 2) * em2g * s2
-        + 4.0 * j * np.cos(theta + phi) * m3
-    )
+def bell_values(m1, m2, m3, j, theta, phi):
+    a = m1 * np.cos(phi) ** 2 + m2 * np.sin(phi) ** 2
+    b = m1 * np.sin(theta) ** 2 + m2 * np.cos(theta) ** 2
+    t1 = np.exp(-2.0 * j * a)
+    t2 = np.exp(-2.0 * j * b)
+    t3 = np.exp(-2.0 * j * (a + b) + 4.0 * j * np.cos(theta + phi) * m3)
     return 1.0 + t1 + t2 - t3
-
-
-@njit(cache=True)
-def _bell_values_jit(lam, gamma, j, theta, phi, out):
-    for i in range(out.size):
-        c2 = math.cosh(lam[i]) ** 2
-        s2 = math.sinh(lam[i]) ** 2
-        e2g = math.exp(2.0 * gamma[i])
-        em2g = math.exp(-2.0 * gamma[i])
-        m3 = math.cosh(gamma[i]) * math.sinh(2.0 * lam[i])
-        jj = j[i]
-        th = theta[i]
-        ph = phi[i]
-        t1 = math.exp(-2.0 * jj * c2 - 2.0 * jj * (e2g * math.cos(ph) ** 2 + em2g * math.sin(ph) ** 2) * s2)
-        t2 = math.exp(-2.0 * jj * c2 - 2.0 * jj * (e2g * math.sin(th) ** 2 + em2g * math.cos(th) ** 2) * s2)
-        t3 = math.exp(
-            -4.0 * jj * c2
-            - 2.0 * jj * (math.cos(ph) ** 2 + math.sin(th) ** 2) * e2g * s2
-            - 2.0 * jj * (math.sin(ph) ** 2 + math.cos(th) ** 2) * em2g * s2
-            + 4.0 * jj * math.cos(th + ph) * m3
-        )
-        out[i] = 1.0 + t1 + t2 - t3
-
-
-def bell_values_jit(lam, gamma, j, theta, phi):
-    shape = np.broadcast(lam, gamma, j, theta, phi).shape
-    args = [np.ascontiguousarray(np.broadcast_to(np.asarray(a, dtype=np.float64), shape).ravel()) for a in (lam, gamma, j, theta, phi)]
-    out = np.empty(args[0].size)
-    _bell_values_jit(*args, out)
-    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +45,7 @@ def bell_values_jit(lam, gamma, j, theta, phi):
 # ---------------------------------------------------------------------------
 
 
-def fock_series_table_numpy(a_coeff, b_coeff, norm, cutoff):
+def fock_series_table(a_coeff, b_coeff, norm, cutoff):
     d = cutoff + 1
     sa = np.zeros((d, d))
     sb = np.zeros((d, d))
@@ -123,35 +60,6 @@ def fock_series_table_numpy(a_coeff, b_coeff, norm, cutoff):
     return norm * (sa * bk) @ sb.T
 
 
-@njit(cache=True)
-def fock_series_table_jit(a_coeff, b_coeff, norm, cutoff):
-    d = cutoff + 1
-    sa = np.zeros((d, d))
-    sb = np.zeros((d, d))
-    for m in range(d):
-        for k in range(m % 2, m + 1, 2):
-            i = (m - k) // 2
-            sq = 1.0
-            for t in range(k + 1, m + 1):
-                sq *= math.sqrt(t)
-            fi = 1.0
-            for t in range(1, i + 1):
-                fi *= t
-            sa[m, k] = (-a_coeff) ** i / fi * sq
-            sb[m, k] = a_coeff ** i / fi * sq
-    out = np.zeros((d, d))
-    for m in range(d):
-        for n in range(d):
-            acc = 0.0
-            bk = 1.0
-            for k in range(min(m, n) + 1):
-                if (m - k) % 2 == 0 and (n - k) % 2 == 0:
-                    acc += sa[m, k] * sb[n, k] * bk
-                bk *= b_coeff
-            out[m, n] = norm * acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Teleportation fidelity integrand on a tensor grid of eta = x + iy:
 #   g(x, y) = |chi_in(eta)|^2 * chi_E(-eta*, -eta)
@@ -161,7 +69,7 @@ def fock_series_table_jit(a_coeff, b_coeff, norm, cutoff):
 # ---------------------------------------------------------------------------
 
 
-def teleport_integrand_numpy(xs, ys, m_mat, kind, r, beta):
+def teleport_integrand(xs, ys, m_mat, kind, r, beta):
     x = xs[:, None]
     y = ys[None, :]
     eta = x + 1j * y
@@ -178,42 +86,3 @@ def teleport_integrand_numpy(xs, ys, m_mat, kind, r, beta):
             if m_mat[p, q] != 0.0:
                 quad = quad + m_mat[p, q] * v[p] * v[q]
     return np.abs(chi_in) ** 2 * np.exp(-quad.real / 8.0)
-
-
-@njit(cache=True)
-def teleport_integrand_jit(xs, ys, m_mat, kind, r, beta):
-    out = np.empty((xs.size, ys.size))
-    for ix in range(xs.size):
-        for iy in range(ys.size):
-            eta = complex(xs[ix], ys[iy])
-            if kind == 0:
-                chi_in = np.exp(-0.5 * abs(eta) ** 2 + eta * np.conj(beta) - np.conj(eta) * beta)
-            else:
-                chi_in = np.exp(
-                    -0.5 * abs(eta) ** 2 * math.cosh(2.0 * r)
-                    - 0.25 * (eta ** 2 + np.conj(eta) ** 2) * math.sinh(2.0 * r)
-                )
-            a = -np.conj(eta)
-            b = -eta
-            v0 = np.conj(a)
-            v1 = a
-            v2 = np.conj(b)
-            v3 = b
-            v = (v0, v1, v2, v3)
-            quad = 0.0j
-            for p in range(4):
-                for q in range(4):
-                    if m_mat[p, q] != 0.0:
-                        quad += m_mat[p, q] * v[p] * v[q]
-            out[ix, iy] = abs(chi_in) ** 2 * math.exp(-quad.real / 8.0)
-    return out
-
-
-if jit_enabled():
-    bell_values = bell_values_jit
-    fock_series_table = fock_series_table_jit
-    teleport_integrand = teleport_integrand_jit
-else:
-    bell_values = bell_values_numpy
-    fock_series_table = fock_series_table_numpy
-    teleport_integrand = teleport_integrand_numpy

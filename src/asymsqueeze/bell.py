@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .errors import ValidationError
 from .gaussian import PhasePoint
-from .state import SqueezeParams, wigner_closed
+from .state import SqueezeParams, coefficients, wigner_closed
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
@@ -71,14 +71,8 @@ def parity_expectation(params: SqueezeParams, point: PhasePoint) -> float:
 
 def bell_function(params: SqueezeParams, setting: BellSetting) -> BellValue:
     """Closed-form CHSH combination (the four-exponential expression)."""
-    val = _kernels.bell_values(
-        np.array([params.lam]),
-        np.array([params.gamma]),
-        np.array([setting.j]),
-        np.array([setting.theta]),
-        np.array([setting.phi]),
-    )
-    return BellValue.of(val[0])
+    c = coefficients(params)
+    return BellValue.of(_kernels.bell_values(c.m1, c.m2, c.m3, setting.j, setting.theta, setting.phi))
 
 
 def bell_from_wigner(params: SqueezeParams, setting: BellSetting) -> BellValue:
@@ -97,19 +91,13 @@ def bell_from_wigner(params: SqueezeParams, setting: BellSetting) -> BellValue:
     return BellValue.of(math.pi ** 2 * combo)
 
 
-def _grid_best(params, j_values, theta_steps, phi_steps):
+def _grid_best(c, j_values, theta_steps, phi_steps):
     thetas = np.linspace(0.0, _TWO_PI, theta_steps, endpoint=False)
     phis = np.linspace(0.0, _TWO_PI, phi_steps, endpoint=False)
-    jj, tt, pp = np.meshgrid(j_values, thetas, phis, indexing="ij")
-    vals = _kernels.bell_values(
-        np.full(jj.size, params.lam),
-        np.full(jj.size, params.gamma),
-        jj.ravel(),
-        tt.ravel(),
-        pp.ravel(),
-    )
-    k = int(np.argmax(vals))
-    return float(jj.ravel()[k]), float(tt.ravel()[k]), float(pp.ravel()[k]), float(vals[k])
+    jj, tt, pp = np.meshgrid(j_values, thetas, phis, indexing="ij", sparse=True)
+    vals = _kernels.bell_values(c.m1, c.m2, c.m3, jj, tt, pp)
+    kj, kt, kp = np.unravel_index(np.argmax(vals), vals.shape)
+    return float(j_values[kj]), float(thetas[kt]), float(phis[kp]), float(vals[kj, kt, kp])
 
 
 def _refine(evaluate, x0, steps, lower, upper, tol=1e-10, step_floor=1e-8):
@@ -150,18 +138,11 @@ def maximize_bell(params: SqueezeParams, j=None, theta_steps=64, phi_steps=64, j
         j_values = np.linspace(2.0 / j_steps, 2.0, j_steps)
     else:
         j_values = np.array([j])
-    j0, th0, ph0, _ = _grid_best(params, j_values, theta_steps, phi_steps)
+    c = coefficients(params)
+    j0, th0, ph0, _ = _grid_best(c, j_values, theta_steps, phi_steps)
 
     def evaluate(x):
-        return float(
-            _kernels.bell_values(
-                np.array([params.lam]),
-                np.array([params.gamma]),
-                np.array([x[0]]),
-                np.array([x[1]]),
-                np.array([x[2]]),
-            )[0]
-        )
+        return float(_kernels.bell_values(c.m1, c.m2, c.m3, x[0], x[1], x[2]))
 
     dth = _TWO_PI / theta_steps
     dph = _TWO_PI / phi_steps

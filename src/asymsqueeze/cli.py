@@ -29,22 +29,15 @@ import numpy as np
 from . import __version__
 from .errors import CutoffTooSmallError, ValidationError, VerificationError
 from .gaussian import PhasePoint, log_negativity
-from .state import (
-    GAMMA_MAX,
-    LAMBDA_MAX,
-    SqueezeParams,
-    cf_closed,
-    covariance,
-    fock_amplitudes,
-    wigner_closed,
-)
-from . import _kernels, fock
-from .bell import BellSetting, bell_function
+from .state import GAMMA_MAX, LAMBDA_MAX, SqueezeParams, coefficients, covariance
+from . import _kernels
 from .teleport import (
+    _SQUEEZE_MAX,
     fidelity_coherent_closed,
     fidelity_difference,
     fidelity_squeezed_closed,
 )
+from .verify import oracle_deviations
 
 _AXIS_BOUNDS = {
     "lambda": (0.0, LAMBDA_MAX),
@@ -171,17 +164,21 @@ def _cmd_bell(args):
         _parse_axis("theta", args.theta),
         _parse_axis("phi", args.phi),
     ]
-    flats, shape = _product_params(axes)
-    vals = _kernels.bell_values(*flats)
+    lam_axis, gamma_axis, *setting_axes = axes
+    pair_shape = (lam_axis.values.size, gamma_axis.values.size, 1, 1, 1)
+    cs = [coefficients(SqueezeParams(lam, gamma)) for lam in lam_axis.values for gamma in gamma_axis.values]
+    m1, m2, m3 = (np.reshape([getattr(c, name) for c in cs], pair_shape) for name in ("m1", "m2", "m3"))
+    j, theta, phi = np.meshgrid(*[ax.values for ax in setting_axes], indexing="ij", sparse=True)
+    vals = _kernels.bell_values(m1, m2, m3, j, theta, phi)
     if args.clip_at_2:
         vals = np.where(vals > 2.0, vals, np.nan)
-    _write_output(args.output, args.format, "bell", "displaced-parity-closed-form", axes, vals.reshape(shape))
+    _write_output(args.output, args.format, "bell", "displaced-parity-closed-form", axes, vals)
     return 0
 
 
 def _cmd_fidelity(args):
-    if not math.isfinite(args.r) or abs(args.r) > 3.0:
-        raise ValidationError(f"--r value {args.r} outside [-3, 3]")
+    if not math.isfinite(args.r) or abs(args.r) > _SQUEEZE_MAX:
+        raise ValidationError(f"--r value {args.r} outside [-{_SQUEEZE_MAX:g}, {_SQUEEZE_MAX:g}]")
     axes = [_parse_axis("lambda", args.lam), _parse_axis("gamma", args.gamma)]
     (lams, gams), shape = _product_params(axes)
     vals = np.empty(lams.size)
@@ -230,35 +227,8 @@ def _cmd_verify(args):
     devs = {name: 0.0 for name in checks}
 
     for lam, gamma in pairs:
-        params = SqueezeParams(lam, gamma)
-        oracle = fock.build_state_exponential(params, args.cutoff)
-        series = fock_amplitudes(params, args.cutoff)
-        devs["state-overlap"] = max(devs["state-overlap"], 1.0 - oracle.overlap(series))
-        sigma = covariance(params)
-        numeric = fock.covariance_numeric(oracle)
-        devs["covariance"] = max(
-            devs["covariance"], float(np.max(np.abs(numeric.entries - sigma.entries)))
-        )
-        for pt in points:
-            devs["wigner"] = max(
-                devs["wigner"], abs(fock.wigner_numeric(oracle, pt) - wigner_closed(params, pt))
-            )
-            devs["char-fn"] = max(
-                devs["char-fn"], abs(fock.cf_numeric(oracle, pt) - cf_closed(params, pt))
-            )
-        devs["log-negativity"] = max(
-            devs["log-negativity"],
-            abs(fock.log_negativity_numeric(oracle) - log_negativity(sigma)),
-        )
-        for setting in (BellSetting(j=0.05, theta=math.pi, phi=0.0), BellSetting(j=0.02, theta=2.1, phi=0.7)):
-            closed = bell_function(params, setting).value
-            combo = math.pi ** 2 * (
-                fock.wigner_numeric(oracle, PhasePoint.origin())
-                + fock.wigner_numeric(oracle, PhasePoint.from_complex(setting.alpha, 0j))
-                + fock.wigner_numeric(oracle, PhasePoint.from_complex(0j, setting.beta))
-                - fock.wigner_numeric(oracle, PhasePoint.from_complex(setting.alpha, setting.beta))
-            )
-            devs["bell-combination"] = max(devs["bell-combination"], abs(closed - combo))
+        for name, dev in oracle_deviations(SqueezeParams(lam, gamma), args.cutoff, points).items():
+            devs[name] = max(devs[name], dev)
 
     failed = []
     for name, tol in checks.items():

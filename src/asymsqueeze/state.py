@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .fock import FockState2
+from .fock import _DEFICIT_LIMIT, FockState2
 from .gaussian import CovarianceMatrix
 
 if TYPE_CHECKING:
@@ -261,10 +261,10 @@ def fock_amplitudes(params: SqueezeParams, cutoff: int) -> FockState2:
     three commuting truncated exponential series (primes denote creation
     operators).  Amplitudes inside the retained block are exact; the norm
     deficit 1 - sum |c|^2 measures the discarded tail and a deficit above
-    1e-6 raises CutoffTooSmallError.
+    ``fock._DEFICIT_LIMIT`` (1e-6) raises CutoffTooSmallError.
     """
     if cutoff < 2:
         raise ValidationError(f"cutoff must be >= 2, got {cutoff}")
     c = coefficients(params)
     table = _kernels.fock_series_table(c.A, c.B, 2.0 / math.sqrt(c.L), int(cutoff))
-    return FockState2.from_amplitudes(table.astype(complex), check_deficit=1e-6)
+    return FockState2.from_amplitudes(table.astype(complex), check_deficit=_DEFICIT_LIMIT)

@@ -1,0 +1,53 @@
+"""Closed forms against the Fock oracle at one parameter pair.
+
+``oracle_deviations`` builds the oracle state once and measures how far each
+closed form lies from its brute-force counterpart.  The CLI ``verify``
+command and the acceptance suite both take their deviations from here and
+apply their own tolerances.
+"""
+
+import math
+
+import numpy as np
+
+from . import fock
+from .bell import BellSetting, bell_function
+from .gaussian import PhasePoint, log_negativity
+from .state import SqueezeParams, cf_closed, covariance, fock_amplitudes, wigner_closed
+
+#: Settings at which the closed CHSH value is checked against the combination
+#: of four oracle Wigner values.
+BELL_SETTINGS = (BellSetting(j=0.05, theta=math.pi, phi=0.0), BellSetting(j=0.02, theta=2.1, phi=0.7))
+
+
+def oracle_deviations(params: SqueezeParams, cutoff: int, points) -> dict[str, float]:
+    """Largest absolute deviation per check, keyed by check name.
+
+    state-overlap is 1 - |<oracle|series>|; covariance the largest entry
+    difference; wigner and char-fn the largest difference over ``points``;
+    log-negativity the difference of the two values; bell-combination the
+    largest CHSH difference over ``BELL_SETTINGS``.
+    """
+    oracle = fock.build_state_exponential(params, cutoff)
+    series = fock_amplitudes(params, cutoff)
+    sigma = covariance(params)
+    numeric = fock.covariance_numeric(oracle)
+    devs = {
+        "state-overlap": 1.0 - oracle.overlap(series),
+        "covariance": float(np.max(np.abs(numeric.entries - sigma.entries))),
+        "wigner": max(abs(fock.wigner_numeric(oracle, pt) - wigner_closed(params, pt)) for pt in points),
+        "char-fn": max(abs(fock.cf_numeric(oracle, pt) - cf_closed(params, pt)) for pt in points),
+        "log-negativity": abs(fock.log_negativity_numeric(oracle) - log_negativity(sigma)),
+    }
+    origin = fock.wigner_numeric(oracle, PhasePoint.origin())
+    bell = 0.0
+    for setting in BELL_SETTINGS:
+        combo = math.pi ** 2 * (
+            origin
+            + fock.wigner_numeric(oracle, PhasePoint.from_complex(setting.alpha, 0j))
+            + fock.wigner_numeric(oracle, PhasePoint.from_complex(0j, setting.beta))
+            - fock.wigner_numeric(oracle, PhasePoint.from_complex(setting.alpha, setting.beta))
+        )
+        bell = max(bell, abs(bell_function(params, setting).value - combo))
+    devs["bell-combination"] = bell
+    return devs

@@ -23,7 +23,6 @@ from asymsqueeze import (
     BellSetting,
     build_state_exponential,
     cf_closed,
-    cf_numeric,
     coefficients,
     covariance,
     covariance_numeric,
@@ -31,14 +30,12 @@ from asymsqueeze import (
     fidelity_coherent_closed,
     fidelity_quadrature,
     fidelity_squeezed_closed,
-    fock_amplitudes,
     log_negativity,
-    log_negativity_numeric,
     variances,
     wigner_closed,
-    wigner_numeric,
 )
 from asymsqueeze import _kernels
+from asymsqueeze.verify import oracle_deviations
 
 
 def report(number, name, ok, detail):
@@ -121,41 +118,27 @@ def test_criterion_03_oracle_equivalence():
         )
         for _ in range(20)
     ]
-    worst_overlap = 0.0
-    worst_cov = 0.0
-    worst_w = 0.0
-    worst_cf = 0.0
-    worst_en = 0.0
+    worst = {}
     for lam, gamma in pairs:
-        params = SqueezeParams(lam, gamma)
-        oracle = build_state_exponential(params, 40)
-        series = fock_amplitudes(params, 40)
-        worst_overlap = max(worst_overlap, 1.0 - oracle.overlap(series))
-        worst_cov = max(
-            worst_cov,
-            float(np.max(np.abs(covariance_numeric(oracle).entries - covariance(params).entries))),
-        )
-        for pt in points:
-            worst_w = max(worst_w, abs(wigner_numeric(oracle, pt) - wigner_closed(params, pt)))
-            worst_cf = max(worst_cf, abs(cf_numeric(oracle, pt) - cf_closed(params, pt)))
-        worst_en = max(
-            worst_en, abs(log_negativity_numeric(oracle) - log_negativity(covariance(params)))
-        )
+        for name, dev in oracle_deviations(SqueezeParams(lam, gamma), 40, points).items():
+            worst[name] = max(worst.get(name, 0.0), dev)
     elapsed = time.monotonic() - start
     ok = (
-        worst_overlap <= 1e-8
-        and worst_cov <= 1e-8
-        and worst_w <= 1e-6
-        and worst_cf <= 1e-6
-        and worst_en <= 1e-3
+        worst["state-overlap"] <= 1e-8
+        and worst["covariance"] <= 1e-8
+        and worst["wigner"] <= 1e-6
+        and worst["char-fn"] <= 1e-6
+        and worst["log-negativity"] <= 1e-3
+        and worst["bell-combination"] <= 1e-6
         and elapsed < 60.0
     )
     report(
         3,
         "Fock-oracle equivalence (cutoff 40)",
         ok,
-        f"1-overlap {worst_overlap:.2e} (1e-8), cov {worst_cov:.2e} (1e-8), "
-        f"Wigner {worst_w:.2e} / CF {worst_cf:.2e} (1e-6), E_N {worst_en:.2e} (1e-3), "
+        f"1-overlap {worst['state-overlap']:.2e} (1e-8), cov {worst['covariance']:.2e} (1e-8), "
+        f"Wigner {worst['wigner']:.2e} / CF {worst['char-fn']:.2e} (1e-6), "
+        f"E_N {worst['log-negativity']:.2e} (1e-3), CHSH {worst['bell-combination']:.2e} (1e-6), "
         f"{elapsed:.1f}s (< 60 s)",
     )
 
@@ -202,9 +185,8 @@ def test_criterion_05_bell_physics():
     js = np.linspace(0.02, 2.0, 25)
     angles = np.linspace(0.0, 2 * math.pi, 33)
     jj, tt, pp = np.meshgrid(js, angles, angles, indexing="ij")
-    vals = _kernels.bell_values(
-        np.zeros(jj.size), np.zeros(jj.size), jj.ravel(), tt.ravel(), pp.ravel()
-    )
+    product = coefficients(SqueezeParams(0.0, 0.0))
+    vals = _kernels.bell_values(product.m1, product.m2, product.m3, jj, tt, pp)
     product_max = float(np.max(np.abs(vals)))
     # (b) the known violation
     violation = bell_function(
@@ -213,12 +195,11 @@ def test_criterion_05_bell_physics():
     violation_dev = abs(violation - 2.1109213521913222)
     # (c) monotone growth with asymmetry at small squeeze and displacement
     gammas = np.linspace(0.0, 2.0, 81)
-    bells = _kernels.bell_values(
-        np.full(gammas.size, 0.1),
-        gammas,
-        np.full(gammas.size, 0.0025),
-        np.full(gammas.size, math.pi),
-        np.zeros(gammas.size),
+    bells = np.array(
+        [
+            bell_function(SqueezeParams(0.1, float(g)), BellSetting(j=0.0025, theta=math.pi, phi=0.0)).value
+            for g in gammas
+        ]
     )
     diffs = np.diff(bells)
     ok = (
