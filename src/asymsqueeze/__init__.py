@@ -60,6 +60,7 @@ from .state import (
     enhanced_squeezing,
     fock_amplitudes,
     heisenberg_transform,
+    log_negativity_closed,
     variances,
     wigner_closed,
 )

@@ -63,26 +63,20 @@ def fock_series_table(a_coeff, b_coeff, norm, cutoff):
 # ---------------------------------------------------------------------------
 # Teleportation fidelity integrand on a tensor grid of eta = x + iy:
 #   g(x, y) = |chi_in(eta)|^2 * chi_E(-eta*, -eta)
-# chi_E is the two-mode characteristic function exp[-v^T M v / 8] with
+# chi_in is the input state's characteristic function, called on the complex
+# grid; chi_E is the two-mode characteristic function exp[-v^T M v / 8] with
 # v = (conj(a), a, conj(b), b) evaluated at a = -eta*, b = -eta.
-# kind 0: coherent input with amplitude beta; kind 1: squeezed vacuum input.
 # ---------------------------------------------------------------------------
 
 
-def teleport_integrand(xs, ys, m_mat, kind, r, beta):
-    x = xs[:, None]
-    y = ys[None, :]
-    eta = x + 1j * y
-    if kind == 0:
-        chi_in = np.exp(-0.5 * np.abs(eta) ** 2 + eta * np.conj(beta) - np.conj(eta) * beta)
-    else:
-        chi_in = np.exp(-0.5 * np.abs(eta) ** 2 * math.cosh(2.0 * r) - 0.25 * (eta ** 2 + np.conj(eta) ** 2) * math.sinh(2.0 * r))
+def teleport_integrand(xs, ys, m_mat, chi_in):
+    eta = xs[:, None] + 1j * ys[None, :]
     a = -np.conj(eta)
     b = -eta
     v = (np.conj(a), a, np.conj(b), b)
-    quad = np.zeros_like(x + y, dtype=complex)
+    quad = np.zeros(eta.shape, dtype=complex)
     for p in range(4):
         for q in range(4):
             if m_mat[p, q] != 0.0:
                 quad = quad + m_mat[p, q] * v[p] * v[q]
-    return np.abs(chi_in) ** 2 * np.exp(-quad.real / 8.0)
+    return np.abs(chi_in(eta)) ** 2 * np.exp(-quad.real / 8.0)

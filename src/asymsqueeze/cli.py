@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .errors import CutoffTooSmallError, ValidationError, VerificationError
-from .gaussian import PhasePoint, log_negativity
-from .state import GAMMA_MAX, LAMBDA_MAX, SqueezeParams, coefficients, covariance
+from .gaussian import PhasePoint
+from .state import GAMMA_MAX, LAMBDA_MAX, SqueezeParams, coefficients, log_negativity_closed
 from . import _kernels
 from .teleport import (
     _SQUEEZE_MAX,
@@ -141,57 +141,47 @@ def _write_output(path, fmt, quantity, source, axes, values):
             handle.write(text)
 
 
-def _product_params(axes):
-    grids = np.meshgrid(*[ax.values for ax in axes], indexing="ij")
-    return [g.ravel() for g in grids], grids[0].shape if grids else ()
+def _pair_sweep(args):
+    """The lambda and gamma axes, and the SqueezeParams of their product, lambda slowest."""
+    axes = [_parse_axis("lambda", args.lam), _parse_axis("gamma", args.gamma)]
+    params = (SqueezeParams(lam, gamma) for lam in axes[0].values for gamma in axes[1].values)
+    return axes, params
 
 
 def _cmd_negativity(args):
-    axes = [_parse_axis("lambda", args.lam), _parse_axis("gamma", args.gamma)]
-    (lams, gams), shape = _product_params(axes)
-    vals = np.empty(lams.size)
-    for i in range(lams.size):
-        vals[i] = log_negativity(covariance(SqueezeParams(lams[i], gams[i])))
-    _write_output(args.output, args.format, "log_negativity", "ppt-symplectic-spectrum", axes, vals.reshape(shape))
+    axes, params = _pair_sweep(args)
+    vals = np.fromiter(map(log_negativity_closed, params), float)
+    _write_output(args.output, args.format, "log_negativity", "asinh-m3-closed-form", axes, vals)
     return 0
 
 
 def _cmd_bell(args):
-    axes = [
-        _parse_axis("lambda", args.lam),
-        _parse_axis("gamma", args.gamma),
-        _parse_axis("j", args.j),
-        _parse_axis("theta", args.theta),
-        _parse_axis("phi", args.phi),
-    ]
-    lam_axis, gamma_axis, *setting_axes = axes
-    pair_shape = (lam_axis.values.size, gamma_axis.values.size, 1, 1, 1)
-    cs = [coefficients(SqueezeParams(lam, gamma)) for lam in lam_axis.values for gamma in gamma_axis.values]
-    m1, m2, m3 = (np.reshape([getattr(c, name) for c in cs], pair_shape) for name in ("m1", "m2", "m3"))
+    pair_axes, params = _pair_sweep(args)
+    setting_axes = [_parse_axis("j", args.j), _parse_axis("theta", args.theta), _parse_axis("phi", args.phi)]
+    pair_shape = (pair_axes[0].values.size, pair_axes[1].values.size, 1, 1, 1)
+    m = np.array([(c.m1, c.m2, c.m3) for c in map(coefficients, params)])
+    m1, m2, m3 = (np.reshape(col, pair_shape) for col in m.T)
     j, theta, phi = np.meshgrid(*[ax.values for ax in setting_axes], indexing="ij", sparse=True)
     vals = _kernels.bell_values(m1, m2, m3, j, theta, phi)
     if args.clip_at_2:
         vals = np.where(vals > 2.0, vals, np.nan)
-    _write_output(args.output, args.format, "bell", "displaced-parity-closed-form", axes, vals)
+    _write_output(args.output, args.format, "bell", "displaced-parity-closed-form", pair_axes + setting_axes, vals)
     return 0
 
 
 def _cmd_fidelity(args):
     if not math.isfinite(args.r) or abs(args.r) > _SQUEEZE_MAX:
         raise ValidationError(f"--r value {args.r} outside [-{_SQUEEZE_MAX:g}, {_SQUEEZE_MAX:g}]")
-    axes = [_parse_axis("lambda", args.lam), _parse_axis("gamma", args.gamma)]
-    (lams, gams), shape = _product_params(axes)
-    vals = np.empty(lams.size)
-    for i in range(lams.size):
-        params = SqueezeParams(lams[i], gams[i])
-        if args.difference:
-            vals[i] = fidelity_difference(params, args.r)
-        elif args.r == 0.0:
-            vals[i] = fidelity_coherent_closed(params).value
-        else:
-            vals[i] = fidelity_squeezed_closed(params, args.r).value
+    if args.difference:
+        value = lambda p: fidelity_difference(p, args.r)
+    elif args.r == 0.0:
+        value = lambda p: fidelity_coherent_closed(p).value
+    else:
+        value = lambda p: fidelity_squeezed_closed(p, args.r).value
+    axes, params = _pair_sweep(args)
+    vals = np.fromiter(map(value, params), float)
     quantity = "fidelity_difference" if args.difference else "fidelity"
-    _write_output(args.output, args.format, quantity, "cf-overlap-closed-form", axes, vals.reshape(shape))
+    _write_output(args.output, args.format, quantity, "cf-overlap-closed-form", axes, vals)
     return 0
 
 

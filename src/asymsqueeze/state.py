@@ -153,6 +153,18 @@ def wigner_closed(params: SqueezeParams, point: PhasePoint) -> float:
     return math.exp(expo) / math.pi ** 2
 
 
+def log_negativity_closed(params: SqueezeParams) -> float:
+    """Closed-form logarithmic negativity E_N = asinh(m3).
+
+    For this pure state the smallest partially transposed symplectic
+    eigenvalue is n_min = (sqrt(1 + m3^2) - m3)/2, so -ln(2 n_min) =
+    ln(m3 + sqrt(1 + m3^2)); m3 >= 0 keeps it non-negative.
+    Agrees with the generic ``log_negativity(covariance(params))`` route, but
+    carries none of its determinant cancellation at large lam and |gamma|.
+    """
+    return math.asinh(coefficients(params).m3)
+
+
 def complex_form_matrix(params: SqueezeParams) -> np.ndarray:
     """Hermitian exponent matrix M in the (alpha*, alpha, beta*, beta) basis.
 

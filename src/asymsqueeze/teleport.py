@@ -20,7 +20,6 @@ F = (1 + tanh lam)/2; for this channel's exponent matrix the two bindings
 coincide, because the mode-swapped terms cancel in the quadratic form.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -73,17 +72,21 @@ class Fidelity:
             raise ValidationError(f"fidelity {self.value} outside (0, 1]")
 
 
-def cf_input(state: InputState, eta: complex) -> complex:
-    """Characteristic function of the input state at eta."""
-    eta = complex(eta)
+def cf_input(state: InputState, eta):
+    """Characteristic function of the input state at eta, a scalar or an array.
+
+    Written in x = Re eta, y = Im eta, so a scalar and an array element get
+    the same floating-point operations:
+    coherent  exp[-|eta|^2/2 + eta b* - eta* b],  eta b* - eta* b = 2i (y Re b - x Im b);
+    squeezed  exp[-|eta|^2 cosh(2r)/2 - (eta^2 + eta*^2) sinh(2r)/4],  eta^2 + eta*^2 = 2 (x^2 - y^2).
+    """
+    eta = np.asarray(eta, dtype=complex)
+    x2, y2 = eta.real * eta.real, eta.imag * eta.imag
     if isinstance(state, Coherent):
         b = complex(state.amplitude)
-        return cmath.exp(-0.5 * abs(eta) ** 2 + eta * b.conjugate() - eta.conjugate() * b)
+        return np.exp(-0.5 * (x2 + y2) + 2j * (eta.imag * b.real - eta.real * b.imag))
     if isinstance(state, SqueezedVacuum):
-        return cmath.exp(
-            -0.5 * abs(eta) ** 2 * math.cosh(2.0 * state.r)
-            - 0.25 * (eta ** 2 + eta.conjugate() ** 2) * math.sinh(2.0 * state.r)
-        )
+        return np.exp(-0.5 * (x2 + y2) * math.cosh(2.0 * state.r) - 0.5 * (x2 - y2) * math.sinh(2.0 * state.r))
     raise ValidationError(f"unsupported input state {state!r}")
 
 
@@ -94,47 +97,40 @@ def output_cf(state: InputState, params: SqueezeParams, eta: complex) -> complex
     return cf_input(state, eta) * channel
 
 
-def _integrand_kind(state):
-    if isinstance(state, Coherent):
-        return 0, 0.0, complex(state.amplitude)
-    if isinstance(state, SqueezedVacuum):
-        return 1, float(state.r), 0j
-    raise ValidationError(f"unsupported input state {state!r}")
-
-
 def fidelity_quadrature(state: InputState, params: SqueezeParams, nodes: int = _NODES) -> Fidelity:
     """Fidelity by 2D quadrature of the CF overlap integrand.
 
     The integrand is a centered Gaussian in (Re eta, Im eta); its per-axis
-    decay rate is probed numerically and each axis is scaled to radius
+    decay rate is probed numerically (at |eta| = 0.5, halved while the
+    integrand underflows to 0 there) and each axis is scaled to radius
     6/sqrt(rate), which keeps both the discarded tail and the sampling error
     of the trapezoid rule far below 1e-12 at fixed node count.  A decay rate
     at or below ~0 means a non-normalizable integrand and raises
     QuadratureDomainError (cannot happen inside the parameter envelopes).
     """
-    kind, r, beta = _integrand_kind(state)
     m_mat = complex_form_matrix(params)
 
-    def probe(x, y):
-        return float(
-            _kernels.teleport_integrand(np.array([x]), np.array([y]), m_mat, kind, r, beta)[0, 0]
-        )
+    def integrand(xs, ys):
+        return _kernels.teleport_integrand(xs, ys, m_mat, lambda eta: cf_input(state, eta))
 
     rates = []
-    for gx, gy in ((_PROBE, 0.0), (0.0, _PROBE)):
-        g = probe(gx, gy)
-        if not (0.0 < g < 1.0):
+    for dx, dy in ((1.0, 0.0), (0.0, 1.0)):
+        radius, g = 2.0 * _PROBE, 0.0
+        while g == 0.0:  # a fast decay underflows at the probe: move it inwards
+            radius *= 0.5
+            g = float(integrand(np.array([dx * radius]), np.array([dy * radius]))[0, 0])
+        if not g < 1.0:
             raise QuadratureDomainError(
-                f"integrand does not decay along ({gx}, {gy}); value {g}"
+                f"integrand does not decay along ({dx * radius}, {dy * radius}); value {g}"
             )
-        rates.append(-math.log(g) / _PROBE ** 2)
+        rates.append(-math.log(g) / radius ** 2)
     if min(rates) < _DECAY_FLOOR:
         raise QuadratureDomainError(f"integrand decay rate {min(rates):.3e} too small")
 
     radii = [6.0 / math.sqrt(c) for c in rates]
     xs = np.linspace(-radii[0], radii[0], nodes)
     ys = np.linspace(-radii[1], radii[1], nodes)
-    grid = _kernels.teleport_integrand(xs, ys, m_mat, kind, r, beta)
+    grid = integrand(xs, ys)
     wx = np.full(nodes, xs[1] - xs[0])
     wx[0] *= 0.5
     wx[-1] *= 0.5

@@ -26,7 +26,7 @@ class TestSweepOutputs:
         out = tmp_path / "neg.csv"
         assert run_cli(["negativity", "--lambda", "0:1.5:16", "--gamma", "0", "--output", str(out)]) == 0
         header, columns, rows = read_csv(out)
-        assert "source=ppt-symplectic-spectrum" in header
+        assert "source=asinh-m3-closed-form" in header
         assert columns == ["lambda", "log_negativity"]
         for lam_text, en_text in rows:
             lam, en = float(lam_text), float(en_text)
