@@ -106,8 +106,9 @@ class Coefficients:
 def coefficients(params: SqueezeParams) -> Coefficients:
     """All seven derived scalars from hyperbolic functions of (lam, gamma)."""
     lam, gamma = params.lam, params.gamma
+    sh = math.sinh(lam)
     c2 = math.cosh(lam) ** 2
-    s2 = math.sinh(lam) ** 2
+    s2 = sh ** 2
     sinh2l = math.sinh(2.0 * lam)
     m1 = c2 + math.exp(2.0 * gamma) * s2
     m2 = c2 + math.exp(-2.0 * gamma) * s2
@@ -115,7 +116,8 @@ def coefficients(params: SqueezeParams) -> Coefficients:
     big_l = 4.0 * (1.0 + math.sinh(gamma) ** 2 * math.tanh(lam) ** 2) * c2
     a_coeff = s2 * math.sinh(2.0 * gamma) / big_l
     b_coeff = 2.0 * sinh2l * math.cosh(gamma) / big_l
-    f = m3 - c2 - math.cosh(2.0 * gamma) * s2
+    # f = m3 - c2 - cosh(2 gamma) s2, regrouped so that no large terms cancel
+    f = -math.exp(-2.0 * lam) + 4.0 * math.sinh(0.5 * gamma) ** 2 * sh * (math.exp(-lam) - math.cosh(gamma) * sh)
     return Coefficients(m1=m1, m2=m2, m3=m3, L=big_l, A=a_coeff, B=b_coeff, f=f)
 
 

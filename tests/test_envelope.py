@@ -12,6 +12,7 @@ from asymsqueeze import (  # noqa: E402
     SqueezedVacuum,
     SqueezeParams,
     cf_input,
+    coefficients,
     fidelity_coherent_closed,
     fidelity_quadrature,
     fidelity_squeezed_closed,
@@ -67,6 +68,17 @@ def test_cli_negativity_column_over_the_envelope(tmp_path):
     assert len(rows) == LAMS.size * GAMMAS.size
     for lam_text, gamma_text, value_text in rows:
         assert_log_negativity(float(lam_text), float(gamma_text), float(value_text))
+
+
+def test_teleportation_scalar_over_the_envelope():
+    # f = m3 - cosh^2(lam) - cosh(2 gamma) sinh^2(lam), exactly -e^{-2 lam}
+    # at gamma = 0, where the three terms nearly cancel
+    for lam in np.linspace(0.0, 5.0, 41):
+        for gamma in np.linspace(-5.0, 5.0, 41):
+            lm, gm = mp.mpf(lam), mp.mpf(gamma)
+            exact = mp.cosh(gm) * mp.sinh(2 * lm) - mp.cosh(lm) ** 2 - mp.cosh(2 * gm) * mp.sinh(lm) ** 2
+            f = coefficients(SqueezeParams(lam, gamma)).f
+            assert abs(f - exact) <= 1e-14 * abs(exact), (lam, gamma, f, float(exact))
 
 
 @pytest.mark.parametrize(
