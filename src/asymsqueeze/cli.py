@@ -158,9 +158,8 @@ def _cmd_negativity(args):
 def _cmd_bell(args):
     pair_axes, params = _pair_sweep(args)
     setting_axes = [_parse_axis("j", args.j), _parse_axis("theta", args.theta), _parse_axis("phi", args.phi)]
-    pair_shape = (pair_axes[0].values.size, pair_axes[1].values.size, 1, 1, 1)
     m = np.array([(c.m1, c.m2, c.m3) for c in map(coefficients, params)])
-    m1, m2, m3 = (np.reshape(col, pair_shape) for col in m.T)
+    m1, m2, m3 = m.T.reshape(3, pair_axes[0].values.size, pair_axes[1].values.size, 1, 1, 1)
     j, theta, phi = np.meshgrid(*[ax.values for ax in setting_axes], indexing="ij", sparse=True)
     vals = _kernels.bell_values(m1, m2, m3, j, theta, phi)
     if args.clip_at_2:
