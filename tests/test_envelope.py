@@ -1,12 +1,11 @@
 """Closed forms against 50-digit mpmath, and quadrature against closed forms,
 over the whole accepted envelope lambda in [0, 5], |gamma| <= 5."""
 
+import mpmath
 import numpy as np
 import pytest
 
-mp = pytest.importorskip("mpmath")
-
-from asymsqueeze import (  # noqa: E402
+from asymsqueeze import (
     Coherent,
     QuadratureDomainError,
     SqueezedVacuum,
@@ -18,9 +17,7 @@ from asymsqueeze import (  # noqa: E402
     fidelity_squeezed_closed,
     log_negativity_closed,
 )
-from asymsqueeze.cli import main  # noqa: E402
-
-mp.mp.dps = 50
+from asymsqueeze.cli import main
 
 LAMS = np.linspace(0.0, 5.0, 21)
 GAMMAS = np.linspace(-5.0, 5.0, 21)
@@ -47,7 +44,14 @@ COARSE_QUADRATURE = tuple(
 
 
 def exact_log_negativity(lam, gamma):
-    return float(mp.asinh(mp.cosh(mp.mpf(gamma)) * mp.sinh(2 * mp.mpf(lam))))
+    with mpmath.workdps(50):
+        return float(mpmath.asinh(mpmath.cosh(mpmath.mpf(gamma)) * mpmath.sinh(2 * mpmath.mpf(lam))))
+
+
+def exact_f(lam, gamma):
+    with mpmath.workdps(50):
+        lam, gamma = mpmath.mpf(lam), mpmath.mpf(gamma)
+        return float(mpmath.cosh(gamma) * mpmath.sinh(2 * lam) - mpmath.cosh(lam) ** 2 - mpmath.cosh(2 * gamma) * mpmath.sinh(lam) ** 2)
 
 
 def assert_log_negativity(lam, gamma, value):
@@ -75,10 +79,9 @@ def test_teleportation_scalar_over_the_envelope():
     # at gamma = 0, where the three terms nearly cancel
     for lam in np.linspace(0.0, 5.0, 41):
         for gamma in np.linspace(-5.0, 5.0, 41):
-            lm, gm = mp.mpf(lam), mp.mpf(gamma)
-            exact = mp.cosh(gm) * mp.sinh(2 * lm) - mp.cosh(lm) ** 2 - mp.cosh(2 * gm) * mp.sinh(lm) ** 2
+            exact = exact_f(lam, gamma)
             f = coefficients(SqueezeParams(lam, gamma)).f
-            assert abs(f - exact) <= 1e-14 * abs(exact), (lam, gamma, f, float(exact))
+            assert abs(f - exact) <= 1e-14 * abs(exact), (lam, gamma, f, exact)
 
 
 @pytest.mark.parametrize(
