@@ -27,7 +27,6 @@ from .errors import (
 )
 from .fock import (
     FockState2,
-    TruncatedOperator,
     build_state_exponential,
     cf_numeric,
     covariance_numeric,

@@ -210,25 +210,37 @@ def _cmd_verify(args):
         "covariance": 1e-8,
         "wigner": 1e-6,
         "char-fn": 1e-6,
-        "log-negativity": 1e-3,
+        "log-negativity": 1e-5,
         "bell-combination": 1e-6,
     }
-    devs = {name: 0.0 for name in checks}
-
-    for lam, gamma in pairs:
-        for name, dev in oracle_deviations(SqueezeParams(lam, gamma), args.cutoff, points).items():
-            devs[name] = max(devs[name], dev)
+    per_pair = {pair: oracle_deviations(SqueezeParams(*pair), args.cutoff, points) for pair in pairs}
 
     failed = []
     for name, tol in checks.items():
-        status = "PASS" if devs[name] <= tol else "FAIL"
-        print(f"check {name:<16s} max deviation {devs[name]:.3e}  (tolerance {tol:.0e})  {status}")
+        dev = max(devs[name] for devs in per_pair.values())
+        status = "PASS" if dev <= tol else "FAIL"
+        print(f"check {name:<16s} max deviation {dev:.3e}  (tolerance {tol:.0e})  {status}")
         if status == "FAIL":
             failed.append(name)
     if failed:
-        raise VerificationError(f"tolerance breached by: {', '.join(failed)}")
+        reports = []
+        for pair, devs in per_pair.items():
+            breached = [name for name, tol in checks.items() if devs[name] > tol]
+            if breached:
+                passing = _passing_cutoff(SqueezeParams(*pair), args.cutoff, points, checks)
+                reports.append(f"{', '.join(breached)} at {pair}, cutoff {args.cutoff}; {passing}")
+        raise VerificationError(f"tolerance breached by: {' | '.join(reports)}")
     print(f"all {len(checks)} oracle checks passed for {len(pairs)} parameter pair(s)")
     return 0
+
+
+def _passing_cutoff(params, cutoff, points, checks):
+    """The smallest of cutoff+5, cutoff+10, ..., 2*cutoff at which every check passes, as text."""
+    for larger in range(cutoff + 5, 2 * cutoff + 1, 5):
+        devs = oracle_deviations(params, larger, points)
+        if all(devs[name] <= tol for name, tol in checks.items()):
+            return f"cutoff {larger} passes"
+    return f"no cutoff up to {2 * cutoff} passes"
 
 
 def build_parser():

@@ -150,14 +150,18 @@ def fidelity_coherent_closed(params: SqueezeParams) -> Fidelity:
     return Fidelity(1.0 / (1.0 - coefficients(params).f))
 
 
-def fidelity_squeezed_closed(params: SqueezeParams, r: float) -> Fidelity:
-    """Closed-form fidelity 1/sqrt(f^2 - 2 f cosh(2r) + 1) for a squeezed input."""
+def _fidelity_squeezed(f: float, r: float) -> Fidelity:
     if not math.isfinite(r) or abs(r) > _SQUEEZE_MAX:
         raise ValidationError(f"|r| must be <= {_SQUEEZE_MAX}")
-    f = coefficients(params).f
     return Fidelity(1.0 / math.sqrt(f * f - 2.0 * f * math.cosh(2.0 * r) + 1.0))
+
+
+def fidelity_squeezed_closed(params: SqueezeParams, r: float) -> Fidelity:
+    """Closed-form fidelity 1/sqrt(f^2 - 2 f cosh(2r) + 1) for a squeezed input."""
+    return _fidelity_squeezed(coefficients(params).f, r)
 
 
 def fidelity_difference(params: SqueezeParams, r: float) -> float:
     """F(r) - F(0): how much harder a squeezed input is to teleport."""
-    return fidelity_squeezed_closed(params, r).value - fidelity_squeezed_closed(params, 0.0).value
+    f = coefficients(params).f
+    return _fidelity_squeezed(f, r).value - _fidelity_squeezed(f, 0.0).value

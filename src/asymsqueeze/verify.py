@@ -12,8 +12,8 @@ import numpy as np
 
 from . import fock
 from .bell import BellSetting, bell_function
-from .gaussian import PhasePoint, log_negativity
-from .state import SqueezeParams, cf_closed, covariance, fock_amplitudes, wigner_closed
+from .gaussian import PhasePoint
+from .state import SqueezeParams, cf_closed, covariance, fock_amplitudes, log_negativity_closed, wigner_closed
 
 #: Settings at which the closed CHSH value is checked against the combination
 #: of four oracle Wigner values.
@@ -23,7 +23,7 @@ BELL_SETTINGS = (BellSetting(j=0.05, theta=math.pi, phi=0.0), BellSetting(j=0.02
 def oracle_deviations(params: SqueezeParams, cutoff: int, points) -> dict[str, float]:
     """Largest absolute deviation per check, keyed by check name.
 
-    state-overlap is 1 - |<oracle|series>|; covariance the largest entry
+    state-overlap is |1 - |<oracle|series>||; covariance the largest entry
     difference; wigner and char-fn the largest difference over ``points``;
     log-negativity the difference of the two values; bell-combination the
     largest CHSH difference over ``BELL_SETTINGS``.
@@ -33,11 +33,11 @@ def oracle_deviations(params: SqueezeParams, cutoff: int, points) -> dict[str, f
     sigma = covariance(params)
     numeric = fock.covariance_numeric(oracle)
     devs = {
-        "state-overlap": 1.0 - oracle.overlap(series),
+        "state-overlap": abs(1.0 - oracle.overlap(series)),
         "covariance": float(np.max(np.abs(numeric.entries - sigma.entries))),
         "wigner": max(abs(fock.wigner_numeric(oracle, pt) - wigner_closed(params, pt)) for pt in points),
         "char-fn": max(abs(fock.cf_numeric(oracle, pt) - cf_closed(params, pt)) for pt in points),
-        "log-negativity": abs(fock.log_negativity_numeric(oracle) - log_negativity(sigma)),
+        "log-negativity": abs(fock.log_negativity_numeric(oracle) - log_negativity_closed(params)),
     }
     origin = fock.wigner_numeric(oracle, PhasePoint.origin())
     bell = 0.0

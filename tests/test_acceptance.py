@@ -128,7 +128,7 @@ def test_criterion_03_oracle_equivalence():
         and worst["covariance"] <= 1e-8
         and worst["wigner"] <= 1e-6
         and worst["char-fn"] <= 1e-6
-        and worst["log-negativity"] <= 1e-3
+        and worst["log-negativity"] <= 1e-5
         and worst["bell-combination"] <= 1e-6
         and elapsed < 60.0
     )
@@ -138,7 +138,7 @@ def test_criterion_03_oracle_equivalence():
         ok,
         f"1-overlap {worst['state-overlap']:.2e} (1e-8), cov {worst['covariance']:.2e} (1e-8), "
         f"Wigner {worst['wigner']:.2e} / CF {worst['char-fn']:.2e} (1e-6), "
-        f"E_N {worst['log-negativity']:.2e} (1e-3), CHSH {worst['bell-combination']:.2e} (1e-6), "
+        f"E_N {worst['log-negativity']:.2e} (1e-5), CHSH {worst['bell-combination']:.2e} (1e-6), "
         f"{elapsed:.1f}s (< 60 s)",
     )
 

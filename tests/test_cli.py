@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -153,6 +154,25 @@ class TestValidationAndExitCodes:
     def test_verify_cutoff_too_small_surfaces(self, capsys):
         assert run_cli(["verify", "--cutoff", "12", "--lambda", "0.8", "--gamma", "0"]) == 2
         assert "cutoff" in capsys.readouterr().err
+
+    def test_verify_deviations_are_nonnegative(self, capsys):
+        # at this pair the oracle's norm exceeds 1 by rounding, so 1 - overlap is about -7e-16
+        assert run_cli(["verify", "--cutoff", "40", "--lambda", "0.6", "--gamma", "-0.5"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("check ")]
+        assert len(lines) == 6
+        assert all(float(line.split()[4]) >= 0.0 for line in lines)
+
+    def test_verify_breach_names_a_cutoff_that_passes(self, capsys):
+        argv = ["verify", "--lambda", "0.5", "--gamma", "1"]
+        assert run_cli(argv + ["--cutoff", "30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.count("FAIL") >= 1
+        match = re.search(r"covariance.* at \(0\.5, 1\.0\), cutoff 30; cutoff (\d+) passes", captured.err)
+        assert match is not None, captured.err
+        larger = int(match.group(1))
+        assert 30 < larger <= 60
+        assert run_cli(argv + ["--cutoff", str(larger)]) == 0
+        assert capsys.readouterr().out.count("PASS") == 6
 
     def test_io_failure(self):
         assert run_cli(["negativity", "--lambda", "0:1:3", "--gamma", "0",

@@ -8,7 +8,6 @@ from asymsqueeze import (
     FockState2,
     PhasePoint,
     SqueezeParams,
-    TruncatedOperator,
     ValidationError,
     build_state_exponential,
     cf_closed,
@@ -22,41 +21,33 @@ from asymsqueeze import (
     wigner_closed,
     wigner_numeric,
 )
+from asymsqueeze.fock import _displacement_matrix, _quadratures
+
+
+def dense_state(params, cutoff):
+    """exp(-i G)|00> by eigen-decomposition of the kron-built joint-space generator."""
+    d = cutoff + 1
+    q, p = _quadratures(d)
+    gen = params.lam1 * np.kron(q, p) + params.lam2 * np.kron(p, q)
+    w, u = np.linalg.eigh(gen)
+    return (u @ (np.exp(-1j * w) * u[0].conj())).reshape(d, d)
 
 
 class TestOperators:
     def test_quadratures_hermitian(self):
-        for label in ("Q1", "P1", "Q2", "P2"):
-            op = TruncatedOperator.quadrature(label, 6)
-            assert op.label == label
-            assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-12
-
-    def test_generator_hermitian(self):
-        op = TruncatedOperator.generator(SqueezeParams(0.5, 1.0), 6)
-        assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-12
+        for op in _quadratures(7):
+            assert np.max(np.abs(op - op.conj().T)) < 1e-12
 
     def test_canonical_commutator_on_retained_block(self):
-        # [Q, P] = i away from the truncation edge
-        q = TruncatedOperator.quadrature("Q1", 8).matrix
-        p = TruncatedOperator.quadrature("P1", 8).matrix
+        # [q, p] = i away from the truncation edge
+        q, p = _quadratures(9)
         comm = q @ p - p @ q
-        block = comm[: 7 * 9, : 7 * 9]
-        assert np.allclose(block, 1j * np.eye(7 * 9), atol=1e-12)
-
-    def test_parity_diagonal(self):
-        op = TruncatedOperator.parity(4)
-        diag = np.diag(op.matrix)
-        assert np.allclose(op.matrix, np.diag(diag))
-        assert set(np.round(diag.real).astype(int)) == {-1, 1}
+        assert np.allclose(comm[:8, :8], 1j * np.eye(8), atol=1e-12)
 
     def test_displacement_unitary(self):
-        op = TruncatedOperator.displacement(0.4 - 0.2j, 0.1 + 0.3j, 10)
-        eye = np.eye((11) ** 2)
-        assert np.max(np.abs(op.matrix @ op.matrix.conj().T - eye)) < 1e-12
-
-    def test_unknown_label(self):
-        with pytest.raises(ValidationError):
-            TruncatedOperator.quadrature("X9", 4)
+        for alpha in (0.4 - 0.2j, 0.1 + 0.3j, 1.5j):
+            d = _displacement_matrix(alpha, 11)
+            assert np.max(np.abs(d @ d.conj().T - np.eye(11))) < 1e-12
 
 
 class TestStateConstruction:
@@ -96,6 +87,20 @@ class TestStateConstruction:
             series = fock_amplitudes(params, 30)
             assert exp_state.overlap(series) >= 1.0 - 1e-8
 
+    @pytest.mark.parametrize(
+        "lam, gamma, cutoff", [(0.0, 1.3, 11), (0.3, -0.8, 12), (0.25, 0.6, 12), (0.15, -1.2, 11)]
+    )
+    def test_taylor_action_matches_dense_eigh(self, lam, gamma, cutoff):
+        params = SqueezeParams(lam, gamma)
+        state = build_state_exponential(params, cutoff)
+        assert np.max(np.abs(state.amplitudes - dense_state(params, cutoff))) <= 1e-13
+
+    @pytest.mark.parametrize("cutoff", [40, 80])
+    def test_taylor_action_unitary(self, cutoff):
+        for lam, gamma in [(0.5, 1.0), (0.6, -0.5), (0.45, 0.0)]:
+            state = build_state_exponential(SqueezeParams(lam, gamma), cutoff)
+            assert abs(state.norm_deficit) <= 1e-13
+
     def test_norm_accounting(self):
         state = build_state_exponential(SqueezeParams(0.4, 0.6), 20)
         assert np.sum(np.abs(state.amplitudes) ** 2) + state.norm_deficit == pytest.approx(
@@ -124,11 +129,10 @@ class TestCovarianceNumeric:
 
     def test_first_moments_vanish(self):
         state = build_state_exponential(SqueezeParams(0.4, 0.9), 24)
-        q = TruncatedOperator.quadrature("Q1", 24).matrix
-        p = TruncatedOperator.quadrature("P2", 24).matrix
-        psi = state.amplitudes.ravel()
-        for op in (q, p):
-            assert abs(np.vdot(psi, op @ psi)) < 1e-12
+        q, p = _quadratures(25)
+        c = state.amplitudes
+        for moved in (q @ c, c @ p.T):  # Q1 and P2 applied to psi
+            assert abs(np.vdot(c, moved)) < 1e-12
 
     def test_symmetric_standard_form(self):
         lam = 0.5
@@ -224,8 +228,10 @@ class TestLogNegativityNumeric:
         # squared sum of its Schmidt coefficients
         params = SqueezeParams(0.4, 0.6)
         state = build_state_exponential(params, 16)
-        schmidt = np.linalg.svd(state.amplitudes, compute_uv=False)
-        expected = 2.0 * math.log(np.sum(schmidt))
+        d = state.cutoff + 1
+        c = state.amplitudes
+        rho_pt = np.einsum("mn,pq->mqpn", c, np.conj(c)).reshape(d * d, d * d)
+        expected = math.log(np.sum(np.abs(np.linalg.eigvalsh(rho_pt))))
         assert log_negativity_numeric(state) == pytest.approx(expected, abs=1e-10)
 
 
