@@ -11,8 +11,10 @@ Sweep axes take either a single value (``--gamma 0.5``) or an inclusive range
 ``min:max:steps`` (``--lambda 0:1.5:50``).  The output grid is the Cartesian
 product of all range axes in the fixed order lambda, gamma, j, theta, phi, and
 is written deterministically: identical invocations produce byte-identical
-files.  Floats are rendered with %.17g; CSV uses LF endings and a single
-``#``-prefixed metadata line, JSON a top-level {meta, grid} object.
+files.  CSV uses LF endings, a single ``#``-prefixed metadata line and %.17g
+floats.  JSON is a top-level {meta, grid} object with the bytes of
+``json.dumps(..., sort_keys=True, indent=1)``, so its floats are Python's
+shortest round-trip repr.  Both read back as the same doubles.
 
 Exit codes: 0 ok, 1 validation error, 2 tolerance breach, 3 I/O failure.
 """
@@ -103,36 +105,33 @@ def _fmt(value):
 def _write_output(path, fmt, quantity, source, axes, values):
     swept = [ax for ax in axes if ax.swept]
     fixed = {ax.name: float(ax.values[0]) for ax in axes if not ax.swept}
-    columns = [ax.name for ax in swept] + [quantity]
-    grids = np.meshgrid(*[ax.values for ax in swept], indexing="ij") if swept else []
-    coords = [g.ravel() for g in grids]
-    flat = values.ravel()
-
+    columns = {ax.name: ax.values for ax in swept}
+    columns[quantity] = values.ravel()
+    names = list(columns)
     if fmt == "csv":
         meta_bits = [f"quantity={quantity}", f"source={source}", f"version={__version__}"]
         meta_bits += [f"{k}={_fmt(v)}" for k, v in sorted(fixed.items())]
-        lines = ["# " + " ".join(meta_bits), ",".join(columns)]
-        for i in range(flat.size):
-            row = [_fmt(c[i]) for c in coords]
-            row.append("" if np.isnan(flat[i]) else _fmt(float(flat[i])))
-            lines.append(",".join(row))
-        text = "\n".join(lines) + "\n"
+        head, tail = "# " + " ".join(meta_bits) + "\n" + ",".join(names) + "\n", "\n"
+        label = lambda v: _fmt(v) if v == v else ""
+        key, field_sep, row_sep = "", ",", "\n"
     else:
-        records = []
-        for i in range(flat.size):
-            rec = {swept[k].name: float(coords[k][i]) for k in range(len(swept))}
-            rec[quantity] = None if np.isnan(flat[i]) else float(flat[i])
-            records.append(rec)
-        doc = {
-            "meta": {
-                "quantity": quantity,
-                "source": source,
-                "version": __version__,
-                "fixed": fixed,
-            },
-            "grid": records,
-        }
-        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        # the bytes of json.dumps({"grid": records, "meta": meta}, sort_keys=True, indent=1)
+        meta = {"quantity": quantity, "source": source, "version": __version__, "fixed": fixed}
+        head = '{\n "grid": [\n  {\n   '
+        tail = "\n  }\n ],\n" + json.dumps({"meta": meta}, sort_keys=True, indent=1)[2:] + "\n"
+        label = lambda v: repr(v) if math.isfinite(v) else "null" if v != v else json.dumps(v)
+        key, field_sep, row_sep = '"{}": ', ",\n   ", "\n  },\n  {\n   "
+        names.sort()
+    # Each axis value and each grid value is formatted once, into the text of its
+    # field; broadcasting the fields over the open grid lays the rows out lambda slowest.
+    texts = {}
+    for name in names:
+        pre, post = key.format(name), field_sep if name != names[-1] else row_sep
+        texts[name] = np.array([pre + label(v) + post for v in columns[name].tolist()], dtype=object)
+    grid = dict(zip([ax.name for ax in swept], np.ix_(*[texts[ax.name] for ax in swept])))
+    grid[quantity] = texts[quantity].reshape([ax.values.size for ax in swept] or [1])
+    fields = np.broadcast_arrays(*[grid[name] for name in names])
+    text = head + "".join(np.stack(fields, axis=-1).ravel().tolist()).removesuffix(row_sep) + tail
 
     if path is None:
         sys.stdout.write(text)

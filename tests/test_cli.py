@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from asymsqueeze import __version__, cli
 from asymsqueeze.cli import main
 
 
@@ -114,6 +115,94 @@ class TestSweepOutputs:
         lam0_row = [r for r in rows if float(r[0]) == 0.0][0]
         # at lam = 0 the channel is classical for either input
         assert float(lam0_row[1]) == pytest.approx(1 / (2 * math.cosh(1.0)) - 0.5, abs=1e-12)
+
+
+def reference_write(path, fmt, quantity, source, axes, values):
+    """The writer's bytes, one row at a time: every coordinate formatted per row, JSON via a list of dicts."""
+    swept = [ax for ax in axes if ax.swept]
+    fixed = {ax.name: float(ax.values[0]) for ax in axes if not ax.swept}
+    coords = [g.ravel() for g in np.meshgrid(*[ax.values for ax in swept], indexing="ij")] if swept else []
+    flat = values.ravel()
+    if fmt == "csv":
+        meta_bits = [f"quantity={quantity}", f"source={source}", f"version={__version__}"]
+        meta_bits += [f"{k}={v:.17g}" for k, v in sorted(fixed.items())]
+        lines = ["# " + " ".join(meta_bits), ",".join([ax.name for ax in swept] + [quantity])]
+        for i in range(flat.size):
+            row = [f"{c[i]:.17g}" for c in coords]
+            row.append("" if np.isnan(flat[i]) else f"{float(flat[i]):.17g}")
+            lines.append(",".join(row))
+        text = "\n".join(lines) + "\n"
+    else:
+        records = []
+        for i in range(flat.size):
+            rec = {ax.name: float(c[i]) for ax, c in zip(swept, coords)}
+            rec[quantity] = None if np.isnan(flat[i]) else float(flat[i])
+            records.append(rec)
+        meta = {"quantity": quantity, "source": source, "version": __version__, "fixed": fixed}
+        text = json.dumps({"meta": meta, "grid": records}, sort_keys=True, indent=1) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+
+
+TAU = "6.283185307179586"
+WRITER_CASES = {
+    # sorting the keys reorders the axes: bell < gamma < j < lambda < phi < theta
+    "bell-five-axes": ["bell", "--lambda", "0:1.2:3", "--gamma", "-1:1:3", "--j", "0.005:0.3:2",
+                       "--theta", f"0:{TAU}:3", "--phi", "-0.5:0.5:2"],
+    # blank CSV cells and JSON nulls
+    "bell-clip": ["bell", "--lambda", "0:1.2:13", "--j", "0.01:0.5:9", "--theta", f"{math.pi}", "--clip-at-2"],
+    "bell-no-axis": ["bell"],
+    "bell-no-axis-clipped": ["bell", "--lambda", "1.2", "--j", "0.1", "--clip-at-2"],
+    # the quantity sorts after the axes
+    "negativity": ["negativity", "--lambda", "0:1.5:7", "--gamma", "-2:2:5"],
+    # the quantity sorts before the axes
+    "fidelity-difference": ["fidelity", "--lambda", "0:1:4", "--gamma", "-1:1:3", "--r", "1", "--difference"],
+    # -0.0 (the range's end point) and 0.1, whose repr and %.17g forms differ
+    "signed-zero": ["negativity", "--lambda", "0.1:0.3:3", "--gamma", "-1:-0:3"],
+}
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", WRITER_CASES)
+    def test_matches_row_by_row_reference(self, case, fmt, tmp_path, monkeypatch):
+        argv = WRITER_CASES[case] + ["--format", fmt]
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        assert main(argv + ["--output", str(out)]) == 0
+        monkeypatch.setattr(cli, "_write_output", reference_write)
+        assert main(argv + ["--output", str(ref)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_cases_reach_the_special_values(self, tmp_path):
+        def written(case, fmt):
+            path = tmp_path / f"{case}.{fmt}"
+            assert main(WRITER_CASES[case] + ["--format", fmt, "--output", str(path)]) == 0
+            return path.read_text()
+
+        assert ",\n" in written("bell-clip", "csv") and ": null" in written("bell-clip", "json")
+        assert written("bell-no-axis-clipped", "csv").endswith("\nbell\n\n")
+        signed_zero = written("signed-zero", "csv"), written("signed-zero", "json")
+        assert ",-0," in signed_zero[0] and '"gamma": -0.0,' in signed_zero[1]
+        assert "\n0.10000000000000001," in signed_zero[0] and '"lambda": 0.1,' in signed_zero[1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_values_match_reference(self, fmt, tmp_path):
+        # no sweep yields an infinity; the writer is handed one directly
+        axes = [cli.Axis("lambda", np.array([0.5]), swept=False),
+                cli.Axis("j", np.linspace(0.0, 0.3, 4), swept=True)]
+        values = np.array([2.5, np.nan, np.inf, -np.inf])
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        cli._write_output(str(out), fmt, "bell", "test", axes, values)
+        reference_write(str(ref), fmt, "bell", "test", axes, values)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_matches_file(self, fmt, tmp_path, capsysbinary):
+        argv = WRITER_CASES["bell-clip"] + ["--format", fmt]
+        out = tmp_path / "out"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 class TestDeterminism:
