@@ -16,8 +16,8 @@ class PurityError(ValidationError):
 class CutoffTooSmallError(RuntimeError):
     """Truncated Fock space cannot hold the state to the requested accuracy."""
 
-    def __init__(self, message, deficit):
-        super().__init__(f"{message} (norm deficit {deficit:.3e})")
+    def __init__(self, message, deficit, measure="norm deficit"):
+        super().__init__(f"{message} ({measure} {deficit:.3e})")
         self.deficit = deficit
 
 

@@ -141,10 +141,10 @@ def build_state_exponential(params: SqueezeParams, cutoff: int) -> FockState2:
             if np.vdot(term, term) <= _EPS ** 2 * np.vdot(c, c):
                 break
     state = FockState2.from_amplitudes(c)
-    damage = max(state.norm_deficit, state.edge_mass())
+    damage, measure = max((state.norm_deficit, "norm deficit"), (state.edge_mass(), "edge mass"))
     if damage > _DEFICIT_LIMIT:
         raise CutoffTooSmallError(
-            f"cutoff {cutoff} too small for parameters ({params.lam}, {params.gamma})", damage
+            f"cutoff {cutoff} too small for parameters ({params.lam}, {params.gamma})", damage, measure
         )
     return state
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,21 @@ class TestStateConstruction:
     def test_cutoff_too_small_flagged(self):
         with pytest.raises(CutoffTooSmallError):
             build_state_exponential(SqueezeParams(0.8, 0.0), 12)
+
+    def test_cutoff_error_names_the_edge_mass(self):
+        # the norm holds to about 1e-14 here, so the edge mass is what trips the gate
+        with pytest.raises(CutoffTooSmallError) as info:
+            build_state_exponential(SqueezeParams(1.0, 1.0), 60)
+        message = str(info.value)
+        assert re.search(r"\(edge mass 1\.51\de-05\)$", message), message
+        assert "norm deficit" not in message
+        assert info.value.deficit == pytest.approx(1.514e-5, rel=1e-3)
+
+    def test_unconverged_oracle_names_the_norm_deficit(self):
+        table = np.zeros((13, 13), dtype=complex)
+        table[0, 0] = 0.99
+        with pytest.raises(CutoffTooSmallError, match=r"\(norm deficit 1\.990e-02\)$"):
+            log_negativity_numeric(FockState2.from_amplitudes(table))
 
     def test_symmetric_state_geometric_with_positive_tail(self):
         # gamma = 0 reduces to the standard two-mode squeezed vacuum with a
