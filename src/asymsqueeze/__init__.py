@@ -54,6 +54,7 @@ from .state import (
     SqueezeParams,
     cf_closed,
     coefficients,
+    coefficients_grid,
     complex_form_matrix,
     covariance,
     enhanced_squeezing,

@@ -31,14 +31,9 @@ import numpy as np
 from . import __version__
 from .errors import CutoffTooSmallError, ValidationError, VerificationError
 from .gaussian import PhasePoint
-from .state import GAMMA_MAX, LAMBDA_MAX, SqueezeParams, coefficients, log_negativity_closed
+from .state import GAMMA_MAX, LAMBDA_MAX, SqueezeParams, coefficients_grid
 from . import _kernels
-from .teleport import (
-    _SQUEEZE_MAX,
-    fidelity_coherent_closed,
-    fidelity_difference,
-    fidelity_squeezed_closed,
-)
+from .teleport import _SQUEEZE_MAX, _fidelity_values
 from .verify import oracle_deviations
 
 _AXIS_BOUNDS = {
@@ -141,24 +136,23 @@ def _write_output(path, fmt, quantity, source, axes, values):
 
 
 def _pair_sweep(args):
-    """The lambda and gamma axes, and the SqueezeParams of their product, lambda slowest."""
+    """The lambda and gamma axes, and the coefficients over their grid, lambda along the first axis."""
     axes = [_parse_axis("lambda", args.lam), _parse_axis("gamma", args.gamma)]
-    params = (SqueezeParams(lam, gamma) for lam in axes[0].values for gamma in axes[1].values)
-    return axes, params
+    return axes, coefficients_grid(axes[0].values, axes[1].values)
 
 
 def _cmd_negativity(args):
-    axes, params = _pair_sweep(args)
-    vals = np.fromiter(map(log_negativity_closed, params), float)
+    axes, coeffs = _pair_sweep(args)
+    # libm's asinh, as log_negativity_closed takes it; numpy's may differ in the last place
+    vals = np.fromiter(map(math.asinh, coeffs.m3.ravel().tolist()), float)
     _write_output(args.output, args.format, "log_negativity", "asinh-m3-closed-form", axes, vals)
     return 0
 
 
 def _cmd_bell(args):
-    pair_axes, params = _pair_sweep(args)
+    pair_axes, coeffs = _pair_sweep(args)
     setting_axes = [_parse_axis("j", args.j), _parse_axis("theta", args.theta), _parse_axis("phi", args.phi)]
-    m = np.array([(c.m1, c.m2, c.m3) for c in map(coefficients, params)])
-    m1, m2, m3 = m.T.reshape(3, pair_axes[0].values.size, pair_axes[1].values.size, 1, 1, 1)
+    m1, m2, m3 = (m[:, :, None, None, None] for m in (coeffs.m1, coeffs.m2, coeffs.m3))
     j, theta, phi = np.meshgrid(*[ax.values for ax in setting_axes], indexing="ij", sparse=True)
     vals = _kernels.bell_values(m1, m2, m3, j, theta, phi)
     if args.clip_at_2:
@@ -170,14 +164,8 @@ def _cmd_bell(args):
 def _cmd_fidelity(args):
     if not math.isfinite(args.r) or abs(args.r) > _SQUEEZE_MAX:
         raise ValidationError(f"--r value {args.r} outside [-{_SQUEEZE_MAX:g}, {_SQUEEZE_MAX:g}]")
-    if args.difference:
-        value = lambda p: fidelity_difference(p, args.r)
-    elif args.r == 0.0:
-        value = lambda p: fidelity_coherent_closed(p).value
-    else:
-        value = lambda p: fidelity_squeezed_closed(p, args.r).value
-    axes, params = _pair_sweep(args)
-    vals = np.fromiter(map(value, params), float)
+    axes, coeffs = _pair_sweep(args)
+    vals = _fidelity_values(coeffs.f, args.r, args.difference)
     quantity = "fidelity_difference" if args.difference else "fidelity"
     _write_output(args.output, args.format, quantity, "cf-overlap-closed-form", axes, vals)
     return 0

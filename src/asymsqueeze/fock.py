@@ -186,25 +186,33 @@ def _check_displacement(state, point):
         )
 
 
-def wigner_numeric(state: FockState2, point: PhasePoint) -> float:
-    """Displaced-parity expectation / pi^2 with truncated displacements."""
+def _displacements(state, point):
+    """The truncated displacements (D1(alpha), D2(beta)) of ``point``, for either evaluation below."""
     _check_displacement(state, point)
     d = state.cutoff + 1
-    d1 = _displacement_matrix(point.alpha, d)
-    d2 = _displacement_matrix(point.beta, d)
+    return _displacement_matrix(point.alpha, d), _displacement_matrix(point.beta, d)
+
+
+def _wigner_displaced(state, d1, d2):
     # |phi> = D1^dag D2^dag |psi>
     phi = d1.conj().T @ state.amplitudes @ d2.conj()
+    d = state.cutoff + 1
     signs = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
     return float(np.sum(signs * np.abs(phi) ** 2)) / math.pi ** 2
 
 
+def _cf_displaced(state, d1, d2):
+    return complex(np.sum(np.conj(state.amplitudes) * (d1 @ state.amplitudes @ d2.T)))
+
+
+def wigner_numeric(state: FockState2, point: PhasePoint) -> float:
+    """Displaced-parity expectation / pi^2 with truncated displacements."""
+    return _wigner_displaced(state, *_displacements(state, point))
+
+
 def cf_numeric(state: FockState2, point: PhasePoint) -> complex:
     """<psi| D1(alpha) D2(beta) |psi> with truncated displacements."""
-    _check_displacement(state, point)
-    d = state.cutoff + 1
-    d1 = _displacement_matrix(point.alpha, d)
-    d2 = _displacement_matrix(point.beta, d)
-    return complex(np.sum(np.conj(state.amplitudes) * (d1 @ state.amplitudes @ d2.T)))
+    return _cf_displaced(state, *_displacements(state, point))
 
 
 def log_negativity_numeric(state: FockState2) -> float:

@@ -92,7 +92,8 @@ class Coefficients:
     m1, m2, m3 are the Wigner exponent coefficients; L sets the state norm
     through the prefactor 2/sqrt(L); A and B are the single- and two-mode
     creation coefficients of its exponential Fock form; f the teleportation
-    scalar (always negative, so fidelities stay inside (0, 1])."""
+    scalar (always negative, so fidelities stay inside (0, 1]).  From
+    ``coefficients_grid`` each field is an array over the grid."""
 
     m1: float
     m2: float
@@ -103,22 +104,67 @@ class Coefficients:
     f: float
 
 
+def _lambda_terms(lam):
+    """Every function of lam alone that the coefficients use."""
+    sh = math.sinh(lam)
+    return (
+        sh,
+        math.cosh(lam) ** 2,
+        sh ** 2,
+        math.sinh(2.0 * lam),
+        math.tanh(lam) ** 2,
+        math.exp(-2.0 * lam),
+        math.exp(-lam),
+    )
+
+
+def _gamma_terms(gamma):
+    """Every function of gamma alone that the coefficients use."""
+    return (
+        math.exp(2.0 * gamma),
+        math.exp(-2.0 * gamma),
+        math.cosh(gamma),
+        math.sinh(gamma) ** 2,
+        math.sinh(2.0 * gamma),
+        4.0 * math.sinh(0.5 * gamma) ** 2,
+    )
+
+
+def _combine(lam_terms, gamma_terms) -> Coefficients:
+    """The seven coefficients from the terms of each variable.
+
+    Only + - * / appear here, each correctly rounded, so broadcast arrays of
+    terms give bit for bit the coefficients that floats give.
+    """
+    sh, c2, s2, sinh2l, th2, e2l, el = lam_terms
+    e2g, em2g, chg, shg2, sinh2g, shhalf4 = gamma_terms
+    m1 = c2 + e2g * s2
+    m2 = c2 + em2g * s2
+    m3 = chg * sinh2l
+    big_l = 4.0 * (1.0 + shg2 * th2) * c2
+    a_coeff = s2 * sinh2g / big_l
+    b_coeff = 2.0 * sinh2l * chg / big_l
+    # f = m3 - c2 - cosh(2 gamma) s2, regrouped so that no large terms cancel
+    f = -e2l + shhalf4 * sh * (el - chg * sh)
+    return Coefficients(m1=m1, m2=m2, m3=m3, L=big_l, A=a_coeff, B=b_coeff, f=f)
+
+
 def coefficients(params: SqueezeParams) -> Coefficients:
     """All seven derived scalars from hyperbolic functions of (lam, gamma)."""
-    lam, gamma = params.lam, params.gamma
-    sh = math.sinh(lam)
-    c2 = math.cosh(lam) ** 2
-    s2 = sh ** 2
-    sinh2l = math.sinh(2.0 * lam)
-    m1 = c2 + math.exp(2.0 * gamma) * s2
-    m2 = c2 + math.exp(-2.0 * gamma) * s2
-    m3 = math.cosh(gamma) * sinh2l
-    big_l = 4.0 * (1.0 + math.sinh(gamma) ** 2 * math.tanh(lam) ** 2) * c2
-    a_coeff = s2 * math.sinh(2.0 * gamma) / big_l
-    b_coeff = 2.0 * sinh2l * math.cosh(gamma) / big_l
-    # f = m3 - c2 - cosh(2 gamma) s2, regrouped so that no large terms cancel
-    f = -math.exp(-2.0 * lam) + 4.0 * math.sinh(0.5 * gamma) ** 2 * sh * (math.exp(-lam) - math.cosh(gamma) * sh)
-    return Coefficients(m1=m1, m2=m2, m3=m3, L=big_l, A=a_coeff, B=b_coeff, f=f)
+    return _combine(_lambda_terms(params.lam), _gamma_terms(params.gamma))
+
+
+def coefficients_grid(lams, gammas) -> Coefficients:
+    """``coefficients`` over the grid lams x gammas, each field a (lams, gammas) array.
+
+    The hyperbolic functions are taken once per axis value and only the
+    arithmetic runs per grid point; every entry equals the scalar
+    ``coefficients`` at its (lam, gamma) bit for bit.  Each axis value is
+    validated as ``SqueezeParams`` validates it.
+    """
+    lam_terms = [_lambda_terms(SqueezeParams(lam).lam) for lam in np.asarray(lams, dtype=float).tolist()]
+    gamma_terms = [_gamma_terms(SqueezeParams(0.0, g).gamma) for g in np.asarray(gammas, dtype=float).tolist()]
+    return _combine(np.array(lam_terms).T[:, :, None], np.array(gamma_terms).T[:, None, :])
 
 
 def covariance(params: SqueezeParams) -> CovarianceMatrix:

@@ -63,13 +63,24 @@ class SqueezedVacuum:
 InputState = Union[Coherent, SqueezedVacuum]
 
 
+def _check_fidelity(value):
+    """``value``, a fidelity or an array of them, if each lies in (0, 1] (to 1e-9).
+
+    Raises ValidationError naming the first value outside, NaN included.
+    """
+    values = np.asarray(value)
+    outside = values[~((0.0 < values) & (values <= 1.0 + 1e-9))]
+    if outside.size:
+        raise ValidationError(f"fidelity {outside[0]} outside (0, 1]")
+    return value
+
+
 @dataclass(frozen=True)
 class Fidelity:
     value: float
 
     def __post_init__(self):
-        if not 0.0 < self.value <= 1.0 + 1e-9:
-            raise ValidationError(f"fidelity {self.value} outside (0, 1]")
+        _check_fidelity(self.value)
 
 
 def cf_input(state: InputState, eta):
@@ -141,27 +152,41 @@ def fidelity_quadrature(state: InputState, params: SqueezeParams, nodes: int = _
     return Fidelity(value)
 
 
+def _coherent(f):
+    return 1.0 / (1.0 - f)
+
+
+def _squeezed(f, r):
+    if not math.isfinite(r) or abs(r) > _SQUEEZE_MAX:
+        raise ValidationError(f"|r| must be <= {_SQUEEZE_MAX}")
+    return 1.0 / np.sqrt(f * f - 2.0 * f * math.cosh(2.0 * r) + 1.0)
+
+
+def _fidelity_values(f, r, difference):
+    """The fidelity, or F(r) - F(0) with ``difference``, for an array of channel scalars f.
+
+    At r = 0 without ``difference`` this is the coherent-input fidelity;
+    every fidelity taken is range-checked as ``Fidelity`` checks one.
+    """
+    if difference:
+        return _check_fidelity(_squeezed(f, r)) - _check_fidelity(_squeezed(f, 0.0))
+    return _check_fidelity(_coherent(f) if r == 0.0 else _squeezed(f, r))
+
+
 def fidelity_coherent_closed(params: SqueezeParams) -> Fidelity:
     """Closed-form fidelity 1/(1 - f) for any coherent input.
 
     Independence of the coherent amplitude is structural: the amplitude enters
     chi_in only through a phase, which |chi_in|^2 removes.
     """
-    return Fidelity(1.0 / (1.0 - coefficients(params).f))
-
-
-def _fidelity_squeezed(f: float, r: float) -> Fidelity:
-    if not math.isfinite(r) or abs(r) > _SQUEEZE_MAX:
-        raise ValidationError(f"|r| must be <= {_SQUEEZE_MAX}")
-    return Fidelity(1.0 / math.sqrt(f * f - 2.0 * f * math.cosh(2.0 * r) + 1.0))
+    return Fidelity(_coherent(coefficients(params).f))
 
 
 def fidelity_squeezed_closed(params: SqueezeParams, r: float) -> Fidelity:
     """Closed-form fidelity 1/sqrt(f^2 - 2 f cosh(2r) + 1) for a squeezed input."""
-    return _fidelity_squeezed(coefficients(params).f, r)
+    return Fidelity(float(_squeezed(coefficients(params).f, r)))
 
 
 def fidelity_difference(params: SqueezeParams, r: float) -> float:
     """F(r) - F(0): how much harder a squeezed input is to teleport."""
-    f = coefficients(params).f
-    return _fidelity_squeezed(f, r).value - _fidelity_squeezed(f, 0.0).value
+    return float(_fidelity_values(coefficients(params).f, r, difference=True))

@@ -32,11 +32,16 @@ def oracle_deviations(params: SqueezeParams, cutoff: int, points) -> dict[str, f
     series = fock_amplitudes(params, cutoff)
     sigma = covariance(params)
     numeric = fock.covariance_numeric(oracle)
+    wigner, char = [], []
+    for pt in points:  # one pair of displacements serves both evaluations at a point
+        d1, d2 = fock._displacements(oracle, pt)
+        wigner.append(abs(fock._wigner_displaced(oracle, d1, d2) - wigner_closed(params, pt)))
+        char.append(abs(fock._cf_displaced(oracle, d1, d2) - cf_closed(params, pt)))
     devs = {
         "state-overlap": abs(1.0 - oracle.overlap(series)),
         "covariance": float(np.max(np.abs(numeric.entries - sigma.entries))),
-        "wigner": max(abs(fock.wigner_numeric(oracle, pt) - wigner_closed(params, pt)) for pt in points),
-        "char-fn": max(abs(fock.cf_numeric(oracle, pt) - cf_closed(params, pt)) for pt in points),
+        "wigner": max(wigner),
+        "char-fn": max(char),
         "log-negativity": abs(fock.log_negativity_numeric(oracle) - log_negativity_closed(params)),
     }
     origin = fock.wigner_numeric(oracle, PhasePoint.origin())

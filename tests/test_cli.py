@@ -7,8 +7,20 @@ import sys
 import numpy as np
 import pytest
 
-from asymsqueeze import __version__, cli
+from asymsqueeze import (
+    BellSetting,
+    SqueezeParams,
+    ValidationError,
+    __version__,
+    bell_function,
+    cli,
+    fidelity_coherent_closed,
+    fidelity_difference,
+    fidelity_squeezed_closed,
+    log_negativity_closed,
+)
 from asymsqueeze.cli import main
+from asymsqueeze.teleport import _check_fidelity, _fidelity_values
 
 
 def run_cli(args):
@@ -203,6 +215,84 @@ class TestWriterBytes:
         assert main(argv + ["--output", str(out)]) == 0
         assert main(argv) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def per_point_writer(value):
+    """A writer that drops the sweep's values and writes value(SqueezeParams, *settings) per
+    grid point instead, one library call each, through the row-by-row reference writer."""
+
+    def write(path, fmt, quantity, source, axes, values):
+        coords = [g.ravel().tolist() for g in np.meshgrid(*[ax.values for ax in axes], indexing="ij")]
+        flat = [value(SqueezeParams(lam, gamma), *rest) for lam, gamma, *rest in zip(*coords)]
+        reference_write(path, fmt, quantity, source, axes, np.array(flat, dtype=float))
+
+    return write
+
+
+def clipped_bell(params, j, theta, phi):
+    value = bell_function(params, BellSetting(j, theta, phi)).value
+    return value if value > 2.0 else math.nan
+
+
+REGIONS = {
+    "paper": ["--lambda", "0:1.5:13", "--gamma", "-2:2:11"],
+    "box": ["--lambda", "0:5:11", "--gamma", "-5:5:13"],
+}
+# the bell settings stay inside [0, 2 pi), where BellSetting keeps the angles as given
+SWEEPS = {
+    "negativity": (["negativity"], lambda p: log_negativity_closed(p)),
+    "fidelity-coherent": (["fidelity"], lambda p: fidelity_coherent_closed(p).value),
+    **{
+        f"fidelity-r{r}": (["fidelity", "--r", r], lambda p, r=float(r): fidelity_squeezed_closed(p, r).value)
+        for r in ("1", "-2.5", "3")
+    },
+    **{
+        f"difference-r{r}": (["fidelity", "--r", r, "--difference"], lambda p, r=float(r): fidelity_difference(p, r))
+        for r in ("0", "1", "-2.5", "3")
+    },
+    "bell": (["bell", "--j", "0.02", "--theta", "2.1", "--phi", "0.7"],
+             lambda p, *setting: bell_function(p, BellSetting(*setting)).value),
+    "bell-j-clipped": (["bell", "--j", "0.005:0.5:4", "--theta", f"{math.pi}", "--clip-at-2"], clipped_bell),
+}
+
+
+class TestGridRoute:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("region", REGIONS)
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_matches_per_point_library_calls(self, sweep, region, fmt, tmp_path, monkeypatch):
+        command, value = SWEEPS[sweep]
+        argv = command + REGIONS[region] + ["--format", fmt]
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        assert main(argv + ["--output", str(out)]) == 0
+        monkeypatch.setattr(cli, "_write_output", per_point_writer(value))
+        assert main(argv + ["--output", str(ref)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("command", [["negativity"], ["fidelity", "--r", "1", "--difference"], ["bell"]])
+    @pytest.mark.parametrize("axis, spec, message", [
+        ("--lambda", "0:7:5", "--lambda value 7.0 outside [0.0, 5.0]"),
+        ("--lambda", "-0.5:1:3", "--lambda value -0.5 outside [0.0, 5.0]"),
+        ("--gamma", "-6:1:3", "--gamma value -6.0 outside [-5.0, 5.0]"),
+        ("--gamma", "nan", "--gamma value nan outside [-5.0, 5.0]"),
+    ])
+    def test_out_of_range_axis_exits_1(self, command, axis, spec, message, capsys):
+        assert main(command + [axis, spec]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_range_check_covers_the_whole_array(self):
+        # f > 0 lies outside the envelope, so only a value handed in directly reaches the check
+        good = np.array([[0.5, 1.0]])
+        assert _check_fidelity(good) is good
+        for values in (np.array([[0.5, 1.0, 1.5]]), np.array([0.2, 0.0]), np.array([0.3, np.nan])):
+            with pytest.raises(ValidationError, match="outside"):
+                _check_fidelity(values)
+        with pytest.raises(ValidationError, match="fidelity 2.0 outside"):
+            _fidelity_values(np.array([[-0.5, 0.5]]), 0.0, False)
+        # 0 < f < e^{-2|r|} gives F(r) > 1
+        for r, difference in ((1.0, False), (0.0, True), (1.0, True)):
+            with pytest.raises(ValidationError, match="outside"):
+                _fidelity_values(np.array([[-0.5], [0.1]]), r, difference)
 
 
 class TestDeterminism:

@@ -13,6 +13,7 @@ from asymsqueeze import (
     cf_closed,
     cf_of_covariance,
     coefficients,
+    coefficients_grid,
     complex_form_matrix,
     covariance,
     enhanced_squeezing,
@@ -87,6 +88,40 @@ class TestCoefficients:
             assert abs(c.m1 * c.m2 - c.m3 ** 2 - 1.0) <= 1e-12 * scale
             assert c.m1 >= 1.0 and c.m2 >= 1.0 and c.m3 >= 0.0
             assert c.f < 0.0
+
+
+FIELDS = ("m1", "m2", "m3", "L", "A", "B", "f")
+
+
+def same_bits(a, b):
+    """Equal as doubles, the sign of a zero included."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestCoefficientsGrid:
+    LAMS = (0.0, 1e-9, 0.3, 1.5, 2.75, 4.9, 5.0)
+    GAMMAS = (-5.0, -1.3, -0.0, 0.0, 1e-9, 0.7, 5.0)
+
+    def test_matches_scalar_bit_for_bit(self):
+        grid = coefficients_grid(np.array(self.LAMS), np.array(self.GAMMAS))
+        for field in FIELDS:
+            assert getattr(grid, field).shape == (len(self.LAMS), len(self.GAMMAS))
+        for i, lam in enumerate(self.LAMS):
+            for k, gamma in enumerate(self.GAMMAS):
+                scalar = coefficients(SqueezeParams(lam, gamma))
+                for field in FIELDS:
+                    assert same_bits(getattr(grid, field)[i, k], getattr(scalar, field)), (lam, gamma, field)
+
+    def test_signed_zero_reaches_the_fields(self):
+        # sinh(2 gamma) keeps the sign of gamma = -0.0, so A does
+        grid = coefficients_grid(np.array([0.5]), np.array([-0.0, 0.0]))
+        assert same_bits(grid.A[0, 0], -0.0) and same_bits(grid.A[0, 1], 0.0)
+
+    @pytest.mark.parametrize("lams, gammas", [([0.5, 5.5], [0.0]), ([-0.1], [0.0]), ([0.5], [1.0, -6.0]),
+                                              ([0.5], [np.nan])])
+    def test_validates_each_axis_value(self, lams, gammas):
+        with pytest.raises(ValidationError):
+            coefficients_grid(np.array(lams), np.array(gammas))
 
 
 class TestCovariance:
