@@ -7,7 +7,8 @@ Kernels:
   * ``fock_series_table`` -- amplitude table of the squeezed vacuum expanded
                              as a product of three commuting exponential series
   * ``teleport_integrand`` -- fidelity integrand |chi_in|^2 * chi_E(-eta*, -eta)
-                             on a tensor grid of Re/Im eta
+                             on a tensor grid of Re/Im eta, with chi_E's
+                             exponent reduced to a real 2x2 form in (Re, Im)
 """
 
 import math
@@ -65,18 +66,19 @@ def fock_series_table(a_coeff, b_coeff, norm, cutoff):
 #   g(x, y) = |chi_in(eta)|^2 * chi_E(-eta*, -eta)
 # chi_in is the input state's characteristic function, called on the complex
 # grid; chi_E is the two-mode characteristic function exp[-v^T M v / 8] with
-# v = (conj(a), a, conj(b), b) evaluated at a = -eta*, b = -eta.
+# v = (conj(a), a, conj(b), b) evaluated at a = -eta*, b = -eta.  That v is
+# linear in (x, y), v = T (x, y) with T = _ETA_TO_V, so Re(v^T M v)/8 is the
+# real 2x2 form q = Re(T^T M T)/8, reduced once per call and evaluated point
+# by point:  chi_E = exp[-(q00 x^2 + (q01 + q10) x y + q11 y^2)].
 # ---------------------------------------------------------------------------
+
+_ETA_TO_V = np.array([[-1.0, -1j], [-1.0, 1j], [-1.0, 1j], [-1.0, -1j]])
 
 
 def teleport_integrand(xs, ys, m_mat, chi_in):
-    eta = xs[:, None] + 1j * ys[None, :]
-    a = -np.conj(eta)
-    b = -eta
-    v = (np.conj(a), a, np.conj(b), b)
-    quad = np.zeros(eta.shape, dtype=complex)
-    for p in range(4):
-        for q in range(4):
-            if m_mat[p, q] != 0.0:
-                quad = quad + m_mat[p, q] * v[p] * v[q]
-    return np.abs(chi_in(eta)) ** 2 * np.exp(-quad.real / 8.0)
+    q = (_ETA_TO_V.T @ m_mat @ _ETA_TO_V).real / 8.0
+    x = xs[:, None]
+    y = ys[None, :]
+    chi = chi_in(x + 1j * y)
+    form = q[0, 0] * (x * x) + (q[0, 1] + q[1, 0]) * (x * y) + q[1, 1] * (y * y)
+    return (chi.real * chi.real + chi.imag * chi.imag) * np.exp(-form)

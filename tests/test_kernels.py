@@ -1,8 +1,12 @@
 import mpmath
 import numpy as np
+import pytest
 
-from asymsqueeze import SqueezeParams, coefficients
+from asymsqueeze import Coherent, SqueezedVacuum, SqueezeParams, cf_input, coefficients, complex_form_matrix
 from asymsqueeze import _kernels
+
+EPS = np.finfo(float).eps
+INPUTS = {"coherent": Coherent(0.7 - 1.2j), "squeezed": SqueezedVacuum(-1.5)}
 
 
 def _bell_mp(lam, gamma, j, theta, phi):
@@ -48,3 +52,86 @@ def test_bell_values_matches_mpmath(rng):
         value = _kernels.bell_values(c.m1, c.m2, c.m3, j, theta, phi)
         worst = max(worst, float(abs(mpmath.mpf(float(value)) - _bell_mp(lam, gamma, j, theta, phi))))
     assert worst <= 1e-13
+
+
+def reference_teleport_integrand(xs, ys, m_mat, chi_in):
+    """The integrand as the complex quadratic form v^T M v, summed over the 16 products m_pq v_p v_q."""
+    eta = xs[:, None] + 1j * ys[None, :]
+    a = -np.conj(eta)
+    b = -eta
+    v = (np.conj(a), a, np.conj(b), b)
+    quad = np.zeros(eta.shape, dtype=complex)
+    for p in range(4):
+        for q in range(4):
+            if m_mat[p, q] != 0.0:
+                quad = quad + m_mat[p, q] * v[p] * v[q]
+    return np.abs(chi_in(eta)) ** 2 * np.exp(-quad.real / 8.0)
+
+
+def assert_matches_reference(m_mat, state):
+    # keep the channel exponent above about -500, so that neither route underflows
+    size = float(np.abs(m_mat).sum())
+    radius = min(2.0, (4000.0 / size) ** 0.5 / 2 ** 0.5)
+    xs = np.linspace(-radius, radius, 41)
+    ys = np.linspace(-radius, 0.8 * radius, 37)
+    chi_in = lambda eta: cf_input(state, eta)
+    new = _kernels.teleport_integrand(xs, ys, m_mat, chi_in)
+    old = reference_teleport_integrand(xs, ys, m_mat, chi_in)
+    assert new.shape == old.shape == (41, 37)
+    assert np.all(new > 0.0) and np.all(old > 0.0)
+    eta2 = xs[:, None] ** 2 + ys[None, :] ** 2
+    # the old route cancels large m_pq v_p v_q terms, so its own error scales with sum |m_pq| |eta|^2
+    bound = 32 * EPS * (size * eta2 / 8.0 + 4.0 * eta2 + 1.0)
+    excess = np.abs(np.log(new) - np.log(old)) - bound
+    assert excess.max() <= 0.0, np.unravel_index(excess.argmax(), excess.shape)
+
+
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+@pytest.mark.parametrize("lam", [0.0, 0.7, 2.5, 5.0])
+@pytest.mark.parametrize("gamma", [-5.0, -1.0, 0.0, 2.0, 5.0])
+def test_teleport_integrand_matches_reference_on_channel_matrices(lam, gamma, kind):
+    assert_matches_reference(complex_form_matrix(SqueezeParams(lam, gamma)), INPUTS[kind])
+
+
+def form_of_reference(m_mat):
+    """The reference channel exponent's x-y cross term and x^2 - y^2 anisotropy."""
+    unit = lambda eta: np.ones(np.shape(eta))
+    ln_g = lambda x, y: np.log(reference_teleport_integrand(np.array([x]), np.array([y]), m_mat, unit)[0, 0])
+    return ln_g(1.0, 1.0) - ln_g(1.0, -1.0), ln_g(1.0, 0.0) - ln_g(0.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+@pytest.mark.parametrize("seed", range(6))
+def test_teleport_integrand_matches_reference_on_hermitian_matrices(seed, kind):
+    # the channel matrices above give an isotropic form; a random Hermitian M
+    # gives unequal x and y curvatures (its cross term is still 0, because the
+    # eta^2 and eta*^2 coefficients of v^T M v are real for Hermitian M)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m_mat = (a + a.conj().T) / 2.0
+    assert abs(form_of_reference(m_mat)[1]) > 1e-3
+    assert_matches_reference(m_mat, INPUTS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+@pytest.mark.parametrize("seed", range(6))
+def test_teleport_integrand_matches_reference_on_complex_matrices(seed, kind):
+    # a general complex M has complex eta^2 coefficients, hence an x-y cross term
+    rng = np.random.default_rng(100 + seed)
+    m_mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    cross, anisotropy = form_of_reference(m_mat)
+    assert abs(cross) > 1e-3 and abs(anisotropy) > 1e-3
+    assert_matches_reference(m_mat, INPUTS[kind])
+
+
+def test_coherent_cf_input_matches_the_complex_expression():
+    xs = np.linspace(-7.0, 7.0, 181)
+    eta = xs[:, None] + 1j * np.linspace(-6.5, 6.5, 173)[None, :]
+    x2, y2 = eta.real * eta.real, eta.imag * eta.imag
+    for amplitude in (0j, 0.7 - 1.2j, -3.0 + 9.5j):
+        b = complex(amplitude)
+        old = np.exp(-0.5 * (x2 + y2) + 2j * (eta.imag * b.real - eta.real * b.imag))
+        new = cf_input(Coherent(amplitude), eta)
+        # the same bytes, up to the sign of a zero imaginary part: where the
+        # phase is -0, the complex expression's 2j * (...) had added +0 to it
+        assert (new + 0.0).tobytes() == (old + 0.0).tobytes()

@@ -1,15 +1,30 @@
-"""hypothesis properties of the coefficients over the whole accepted envelope
-lambda in [0, 5], |gamma| <= 5."""
+"""hypothesis properties of the coefficients, the CHSH value and the
+teleportation fidelities over the whole accepted envelope lambda in [0, 5],
+|gamma| <= 5, |r| <= 3."""
+
+import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asymsqueeze import SqueezeParams, coefficients, coefficients_grid
+from asymsqueeze import (
+    Coherent,
+    SqueezedVacuum,
+    SqueezeParams,
+    coefficients,
+    coefficients_grid,
+    fidelity_coherent_closed,
+    fidelity_quadrature,
+    fidelity_squeezed_closed,
+)
+from asymsqueeze._kernels import bell_values
 
 FIELDS = ("m1", "m2", "m3", "L", "A", "B", "f")
 LAM = st.floats(min_value=0.0, max_value=5.0)
 GAMMA = st.floats(min_value=-5.0, max_value=5.0)
+R = st.floats(min_value=-3.0, max_value=3.0)
+ANGLE = st.floats(min_value=-100.0, max_value=100.0)
 EPS = np.finfo(float).eps
 
 
@@ -37,3 +52,36 @@ def test_purity(lam, gamma):
 def test_mode_swap(lam, gamma):
     c, swapped = coefficients(SqueezeParams(lam, gamma)), coefficients(SqueezeParams(lam, -gamma))
     assert (swapped.m1, swapped.m2, swapped.m3) == (c.m2, c.m1, c.m3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LAM, GAMMA, st.floats(min_value=0.0, max_value=2.0), ANGLE, ANGLE)
+def test_chsh_within_tsirelson_bound(lam, gamma, j, theta, phi):
+    c = coefficients(SqueezeParams(lam, gamma))
+    assert abs(bell_values(c.m1, c.m2, c.m3, j, theta, phi)) <= 2.0 * math.sqrt(2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LAM, GAMMA, R)
+def test_closed_fidelities_in_unit_interval(lam, gamma, r):
+    params = SqueezeParams(lam, gamma)
+    for fidelity in (fidelity_coherent_closed(params), fidelity_squeezed_closed(params, r)):
+        assert 0.0 < fidelity.value <= 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(LAM, GAMMA, R, st.complex_numbers(max_magnitude=10.0))
+@example(lam=4.75, gamma=0.0, r=3.0, amplitude=0j)
+def test_quadrature_matches_closed_fidelities(lam, gamma, r, amplitude):
+    params = SqueezeParams(lam, gamma)
+    c = coefficients(params)
+    # complex_form_matrix carries f = -(m1 + m2 - 2 m3)/2 in entries of size up
+    # to m1 + m2 + 2|m3|, so the quadrature sees f only to about df; near
+    # gamma = 0 at large lambda, where f is small, df |dF/df| exceeds 1e-12
+    # (2.9e-10 in the example above)
+    df = EPS * (c.m1 + c.m2 + 2.0 * abs(c.m3))
+    coherent = fidelity_coherent_closed(params).value
+    assert abs(fidelity_quadrature(Coherent(amplitude), params).value - coherent) <= 1e-12 + df * coherent ** 2
+    squeezed = fidelity_squeezed_closed(params, r).value
+    slope = squeezed ** 3 * (math.cosh(2.0 * r) - c.f)
+    assert abs(fidelity_quadrature(SqueezedVacuum(r), params).value - squeezed) <= 1e-12 + df * slope

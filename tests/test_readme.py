@@ -1,12 +1,16 @@
-"""Every sweep command in the README's command-line block runs and exits 0."""
+"""Every sweep command in the README's command-line block runs and exits 0,
+and the library example prints what its comments say."""
 
+import contextlib
+import io
+import math
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from asymsqueeze import cli
+from asymsqueeze import SqueezeParams, cli, log_negativity_closed
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,3 +41,17 @@ def test_readme_command_exits_0(argv, tmp_path):
     argv[k + 1] = str(out)
     assert cli.main(argv) == 0
     assert out.stat().st_size > 0
+
+
+def test_library_example_prints_its_comments():
+    block = re.search(r"## Library example.*?```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    en, fidelity, bell, oracle_en = out.getvalue().splitlines()
+    assert en == "1.3569444900743064"
+    assert fidelity == "0.6758136121606705"
+    assert bell == (
+        f"BellSetting(j=0.01, theta=0.0, phi={math.pi!r}) BellValue(value=2.0621976455117763, violates=True)"
+    )
+    assert abs(float(oracle_en) - log_negativity_closed(SqueezeParams(0.5, 1.0))) <= 1e-5
