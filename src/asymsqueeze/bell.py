@@ -9,6 +9,9 @@ Two evaluation routes are kept deliberately separate: ``bell_function``
 evaluates the four-exponential closed form, ``bell_from_wigner`` assembles
 the same combination from the closed-form Wigner function.  They agree to
 1e-12 everywhere, which is the structural check on the closed form's algebra.
+The four-Wigner assembly has one home, ``_chsh_from_wigner``, which takes any
+Wigner function; ``verify`` feeds it the Fock oracle's.  ``maximize_bell``
+seeds one pattern search over (J, theta, phi) from a fixed grid.
 """
 
 import math
@@ -23,6 +26,10 @@ from .state import SqueezeParams, coefficients, wigner_closed
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
+# grid that seeds maximize_bell: angle steps over [0, 2 pi), J steps over (0, 2]
+_THETA_STEPS = 64
+_PHI_STEPS = 64
+_J_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -30,8 +37,10 @@ class BellSetting:
     """Displacement magnitude J = |alpha|^2 = |beta|^2 and the two phases.
 
     Equal magnitudes on both modes are hard-coded; the displaced-parity test
-    implemented here is defined with a single J.  Angles are stored wrapped
-    into [0, 2 pi).
+    implemented here is defined with a single J.  Angles are stored as
+    given, unwrapped: cos and sin of the given double are more accurate than
+    of the double reduced modulo the rounded 2 pi, and the CLI ``bell`` sweep
+    evaluates the raw angles too, so both give the same bits.
     """
 
     j: float
@@ -41,8 +50,6 @@ class BellSetting:
     def __post_init__(self):
         if not (math.isfinite(self.j) and self.j >= 0.0):
             raise ValidationError(f"displacement magnitude J must be >= 0, got {self.j}")
-        object.__setattr__(self, "theta", self.theta % _TWO_PI)
-        object.__setattr__(self, "phi", self.phi % _TWO_PI)
 
     @property
     def alpha(self):
@@ -76,24 +83,27 @@ def bell_function(params: SqueezeParams, setting: BellSetting) -> BellValue:
 
 
 def bell_from_wigner(params: SqueezeParams, setting: BellSetting) -> BellValue:
-    """CHSH combination assembled from four Wigner evaluations.
+    """CHSH combination assembled from four closed-form Wigner evaluations."""
+    return BellValue.of(_chsh_from_wigner(lambda point: wigner_closed(params, point), setting))
 
-    B = pi^2 [W(0,0) + W(alpha,0) + W(0,beta) - W(alpha,beta)].
-    """
+
+def _chsh_from_wigner(wigner, setting: BellSetting) -> float:
+    """B = pi^2 [W(0,0) + W(alpha,0) + W(0,beta) - W(alpha,beta)] for a
+    Wigner function ``wigner`` taking a PhasePoint."""
     alpha, beta = setting.alpha, setting.beta
     zero = 0.0 + 0.0j
     combo = (
-        wigner_closed(params, PhasePoint.from_complex(zero, zero))
-        + wigner_closed(params, PhasePoint.from_complex(alpha, zero))
-        + wigner_closed(params, PhasePoint.from_complex(zero, beta))
-        - wigner_closed(params, PhasePoint.from_complex(alpha, beta))
+        wigner(PhasePoint.from_complex(zero, zero))
+        + wigner(PhasePoint.from_complex(alpha, zero))
+        + wigner(PhasePoint.from_complex(zero, beta))
+        - wigner(PhasePoint.from_complex(alpha, beta))
     )
-    return BellValue.of(math.pi ** 2 * combo)
+    return math.pi ** 2 * combo
 
 
-def _grid_best(c, j_values, theta_steps, phi_steps):
-    thetas = np.linspace(0.0, _TWO_PI, theta_steps, endpoint=False)
-    phis = np.linspace(0.0, _TWO_PI, phi_steps, endpoint=False)
+def _grid_best(c, j_values):
+    thetas = np.linspace(0.0, _TWO_PI, _THETA_STEPS, endpoint=False)
+    phis = np.linspace(0.0, _TWO_PI, _PHI_STEPS, endpoint=False)
     jj, tt, pp = np.meshgrid(j_values, thetas, phis, indexing="ij", sparse=True)
     vals = _kernels.bell_values(c.m1, c.m2, c.m3, jj, tt, pp)
     kj, kt, kp = np.unravel_index(np.argmax(vals), vals.shape)
@@ -120,49 +130,31 @@ def _refine(evaluate, x0, steps, lower, upper, tol=1e-10, step_floor=1e-8):
     return x, best
 
 
-def maximize_bell(params: SqueezeParams, j=None, theta_steps=64, phi_steps=64, j_steps=200):
+def maximize_bell(params: SqueezeParams, j=None):
     """Best CHSH value over the settings, deterministically.
 
-    A dense grid (theta_steps x phi_steps over the angles, and j_steps points
-    over J in (0, 2] when ``j`` is not fixed) seeds a coordinate pattern
-    search refined to 1e-10 in the CHSH value.  Always returns the best
-    setting found; absence of violation shows up as ``violates=False``.
+    A fixed grid (64 x 64 over the angles in [0, 2 pi), and 200 points over
+    J in (0, 2] when ``j`` is not given) seeds one coordinate pattern search
+    over (J, theta, phi), refined to 1e-10 in the CHSH value; a given ``j``
+    pins J (bounds [j, j], step 0).  Always returns the best setting found,
+    its angles wrapped into [0, 2 pi); absence of violation shows up as
+    ``violates=False``.
     """
-    if theta_steps < 64 or phi_steps < 64:
-        raise ValidationError("angle grid must be at least 64x64")
     if j is not None and not (math.isfinite(j) and j >= 0.0):
         raise ValidationError(f"fixed J must be >= 0, got {j}")
-    if j is None:
-        if j_steps < 200:
-            raise ValidationError("free-J search needs at least 200 grid points")
-        j_values = np.linspace(2.0 / j_steps, 2.0, j_steps)
-    else:
-        j_values = np.array([j])
+    j_values = np.linspace(2.0 / _J_STEPS, 2.0, _J_STEPS) if j is None else np.array([j])
     c = coefficients(params)
-    j0, th0, ph0, _ = _grid_best(c, j_values, theta_steps, phi_steps)
-
-    def evaluate(x):
-        return float(_kernels.bell_values(c.m1, c.m2, c.m3, x[0], x[1], x[2]))
-
-    dth = _TWO_PI / theta_steps
-    dph = _TWO_PI / phi_steps
+    j0, th0, ph0, _ = _grid_best(c, j_values)
     if j is None:
-        dj = 2.0 / j_steps
-        x, best = _refine(
-            evaluate,
-            [j0, th0, ph0],
-            [dj, dth, dph],
-            lower=[1e-12, -math.inf, -math.inf],
-            upper=[2.0, math.inf, math.inf],
-        )
+        dj, j_lower, j_upper = 2.0 / _J_STEPS, 1e-12, 2.0
     else:
-        x, best = _refine(
-            lambda y: evaluate([j0] + list(y)),
-            [th0, ph0],
-            [dth, dph],
-            lower=[-math.inf, -math.inf],
-            upper=[math.inf, math.inf],
-        )
-        x = [j0] + list(x)
+        dj, j_lower, j_upper = 0.0, j0, j0
+    x, best = _refine(
+        lambda y: float(_kernels.bell_values(c.m1, c.m2, c.m3, y[0], y[1], y[2])),
+        [j0, th0, ph0],
+        [dj, _TWO_PI / _THETA_STEPS, _TWO_PI / _PHI_STEPS],
+        lower=[j_lower, -math.inf, -math.inf],
+        upper=[j_upper, math.inf, math.inf],
+    )
     setting = BellSetting(j=x[0], theta=x[1] % _TWO_PI, phi=x[2] % _TWO_PI)
     return setting, BellValue.of(best)

@@ -82,15 +82,15 @@ class FockState2:
             )
         return state
 
-    def edge_mass(self, shells: int = 2) -> float:
-        """Probability mass in the outermost ``shells`` rows/columns.
+    def edge_mass(self) -> float:
+        """Probability mass in the outermost two rows/columns.
 
         The exponential construction conserves the norm (to about 1e-14), so
         the deficit alone cannot flag truncation damage; mass piled up at the
         basis edge can.
         """
         c = np.abs(self.amplitudes) ** 2
-        k = self.cutoff + 1 - shells
+        k = self.cutoff - 1
         return float(np.sum(c[k:, :]) + np.sum(c[:k, k:]))
 
     def overlap(self, other: FockState2) -> float:

@@ -249,14 +249,11 @@ def cf_closed(params: SqueezeParams, point: PhasePoint) -> float:
 def variances(params: SqueezeParams) -> tuple[float, float]:
     """Variances of x1 = (Q1 + Q2)/2 and x2 = (P1 + P2)/2.
 
-    var x1 = [cosh(2 lam) + 2 sinh^2(lam) sinh^2(gamma) + sinh(2 lam) cosh(gamma)] / 4
-    var x2 = same with the last term negated.
-    Equivalently (m1 + m2 +- 2 m3)/8.
+    var x1 = (m1 + m2 + 2 m3)/8 and var x2 = (m1 + m2 - 2 m3)/8, taken as
+    -f/4 because f is computed without the cancellation of large terms.
     """
-    lam, gamma = params.lam, params.gamma
-    base = math.cosh(2.0 * lam) + 2.0 * math.sinh(lam) ** 2 * math.sinh(gamma) ** 2
-    cross = math.sinh(2.0 * lam) * math.cosh(gamma)
-    return (base + cross) / 4.0, (base - cross) / 4.0
+    c = coefficients(params)
+    return (c.m1 + c.m2 + 2.0 * c.m3) / 8.0, -c.f / 4.0
 
 
 def enhanced_squeezing(params: SqueezeParams) -> bool:

@@ -113,11 +113,11 @@ def output_cf(state: InputState, params: SqueezeParams, eta: complex) -> complex
     return cf_input(state, eta) * channel
 
 
-def fidelity_quadrature(state: InputState, params: SqueezeParams, nodes: int = _NODES) -> Fidelity:
+def fidelity_quadrature(state: InputState, params: SqueezeParams) -> Fidelity:
     """Fidelity by 2D quadrature of the CF overlap integrand.
 
     The integrand |chi_in|^2 * chi_E is evaluated point by point on a
-    nodes x nodes grid (``_kernels.teleport_integrand``), with chi_E's
+    181 x 181 grid (``_kernels.teleport_integrand``), with chi_E's
     exponent -v^T M v / 8 first reduced, once per call, to a real 2x2
     quadratic form in (Re eta, Im eta).  It is a centered Gaussian; its per-axis
     decay rate is probed numerically (at |eta| = 0.5, halved while the
@@ -150,8 +150,8 @@ def fidelity_quadrature(state: InputState, params: SqueezeParams, nodes: int = _
         raise QuadratureDomainError(f"integrand decay rate {min(rates):.3e} too small")
 
     radii = [6.0 / math.sqrt(c) for c in rates]
-    xs = np.linspace(-radii[0], radii[0], nodes)
-    ys = np.linspace(-radii[1], radii[1], nodes)
+    xs = np.linspace(-radii[0], radii[0], _NODES)
+    ys = np.linspace(-radii[1], radii[1], _NODES)
     value = float(_trapezoid_weights(xs) @ integrand(xs, ys) @ _trapezoid_weights(ys)) / math.pi
     return Fidelity(value)
 

@@ -11,8 +11,7 @@ import math
 import numpy as np
 
 from . import fock
-from .bell import BellSetting, bell_function
-from .gaussian import PhasePoint
+from .bell import BellSetting, _chsh_from_wigner, bell_function
 from .state import SqueezeParams, cf_closed, covariance, fock_amplitudes, log_negativity_closed, wigner_closed
 
 #: Settings at which the closed CHSH value is checked against the combination
@@ -37,22 +36,14 @@ def oracle_deviations(params: SqueezeParams, cutoff: int, points) -> dict[str, f
         d1, d2 = fock._displacements(oracle, pt)
         wigner.append(abs(fock._wigner_displaced(oracle, d1, d2) - wigner_closed(params, pt)))
         char.append(abs(fock._cf_displaced(oracle, d1, d2) - cf_closed(params, pt)))
-    devs = {
+    return {
         "state-overlap": abs(1.0 - oracle.overlap(series)),
         "covariance": float(np.max(np.abs(numeric.entries - sigma.entries))),
         "wigner": max(wigner),
         "char-fn": max(char),
         "log-negativity": abs(fock.log_negativity_numeric(oracle) - log_negativity_closed(params)),
+        "bell-combination": max(
+            abs(bell_function(params, s).value - _chsh_from_wigner(lambda pt: fock.wigner_numeric(oracle, pt), s))
+            for s in BELL_SETTINGS
+        ),
     }
-    origin = fock.wigner_numeric(oracle, PhasePoint.origin())
-    bell = 0.0
-    for setting in BELL_SETTINGS:
-        combo = math.pi ** 2 * (
-            origin
-            + fock.wigner_numeric(oracle, PhasePoint.from_complex(setting.alpha, 0j))
-            + fock.wigner_numeric(oracle, PhasePoint.from_complex(0j, setting.beta))
-            - fock.wigner_numeric(oracle, PhasePoint.from_complex(setting.alpha, setting.beta))
-        )
-        bell = max(bell, abs(bell_function(params, setting).value - combo))
-    devs["bell-combination"] = bell
-    return devs

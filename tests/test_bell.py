@@ -16,6 +16,7 @@ from asymsqueeze import (
     parity_expectation,
     wigner_closed,
 )
+from asymsqueeze.cli import main
 
 
 def reduced_opposite_phases(lam, gamma, j):
@@ -42,10 +43,23 @@ def single_terms(lam, gamma, j, theta, phi):
 
 
 class TestSetting:
-    def test_angle_wrapping(self):
+    def test_angles_stored_as_given(self):
         s = BellSetting(j=0.1, theta=2 * math.pi + 0.3, phi=-0.5)
-        assert s.theta == pytest.approx(0.3, abs=1e-12)
-        assert s.phi == pytest.approx(2 * math.pi - 0.5, abs=1e-12)
+        assert s.theta == 2 * math.pi + 0.3
+        assert s.phi == -0.5
+
+    def test_matches_cli_cells_bit_for_bit(self, tmp_path):
+        # angles outside [0, 2 pi) on both sides of the range
+        out = tmp_path / "bell.csv"
+        args = ["bell", "--lambda", "0.7", "--gamma", "0.3", "--j", "0.05",
+                "--theta", "-6.28:6.28:201", "--phi", "-1:6:3", "--output", str(out)]
+        assert main(args) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == 603
+        p = SqueezeParams(0.7, 0.3)
+        for theta, phi, cell in rows:
+            setting = BellSetting(j=0.05, theta=float(theta), phi=float(phi))
+            assert bell_function(p, setting).value == float(cell), (theta, phi)
 
     def test_displacements(self):
         s = BellSetting(j=0.04, theta=math.pi / 2, phi=0.0)
@@ -216,7 +230,5 @@ class TestMaximize:
         assert v1.value == v2.value
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            maximize_bell(SqueezeParams(0.5, 0.0), theta_steps=16)
         with pytest.raises(ValidationError):
             maximize_bell(SqueezeParams(0.5, 0.0), j=-1.0)

@@ -16,6 +16,7 @@ from asymsqueeze import (
     fidelity_quadrature,
     fidelity_squeezed_closed,
     log_negativity_closed,
+    variances,
 )
 from asymsqueeze.cli import main
 
@@ -54,6 +55,15 @@ def exact_f(lam, gamma):
         return float(mpmath.cosh(gamma) * mpmath.sinh(2 * lam) - mpmath.cosh(lam) ** 2 - mpmath.cosh(2 * gamma) * mpmath.sinh(lam) ** 2)
 
 
+def exact_variances(lam, gamma):
+    # var x1, x2 = [cosh(2 lam) + 2 sinh^2(lam) sinh^2(gamma) +- sinh(2 lam) cosh(gamma)] / 4
+    with mpmath.workdps(50):
+        lam, gamma = mpmath.mpf(lam), mpmath.mpf(gamma)
+        base = mpmath.cosh(2 * lam) + 2 * mpmath.sinh(lam) ** 2 * mpmath.sinh(gamma) ** 2
+        cross = mpmath.sinh(2 * lam) * mpmath.cosh(gamma)
+        return float((base + cross) / 4), float((base - cross) / 4)
+
+
 def assert_log_negativity(lam, gamma, value):
     exact = exact_log_negativity(lam, gamma)
     assert abs(value - exact) <= 1e-14 * max(1.0, exact), (lam, gamma, value, exact)
@@ -82,6 +92,15 @@ def test_teleportation_scalar_over_the_envelope():
             exact = exact_f(lam, gamma)
             f = coefficients(SqueezeParams(lam, gamma)).f
             assert abs(f - exact) <= 1e-14 * abs(exact), (lam, gamma, f, exact)
+
+
+def test_variances_over_the_envelope():
+    # var x2 falls to e^{-2 lam}/4 at gamma = 0, where its terms nearly cancel
+    for lam in np.linspace(0.0, 5.0, 41):
+        for gamma in np.linspace(-5.0, 5.0, 41):
+            values = variances(SqueezeParams(lam, gamma))
+            for value, exact in zip(values, exact_variances(lam, gamma)):
+                assert abs(value - exact) <= 2e-15 * exact, (lam, gamma, value, exact)
 
 
 @pytest.mark.parametrize(
