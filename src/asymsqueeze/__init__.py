@@ -15,7 +15,6 @@ from .bell import (
     bell_from_wigner,
     bell_function,
     maximize_bell,
-    parity_expectation,
 )
 from .errors import (
     CutoffTooSmallError,
@@ -37,12 +36,8 @@ from .gaussian import (
     SYMPLECTIC_FORM,
     CovarianceMatrix,
     PhasePoint,
-    SymplecticSpectrum,
     cf_of_covariance,
-    is_separable,
     log_negativity,
-    ppt_symplectic_eigenvalues,
-    seralian,
     wigner_of_covariance,
 )
 from .state import (
@@ -74,5 +69,4 @@ from .teleport import (
     fidelity_difference,
     fidelity_quadrature,
     fidelity_squeezed_closed,
-    output_cf,
 )

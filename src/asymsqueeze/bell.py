@@ -70,12 +70,6 @@ class BellValue:
         return cls(value=float(value), violates=abs(value) > 2.0)
 
 
-def parity_expectation(params: SqueezeParams, point: PhasePoint) -> float:
-    """Expectation of the displaced parity operator: pi^2 times the Wigner
-    density.  Bounded by 1 in magnitude (unit spectral radius)."""
-    return math.pi ** 2 * wigner_closed(params, point)
-
-
 def bell_function(params: SqueezeParams, setting: BellSetting) -> BellValue:
     """Closed-form CHSH combination (the four-exponential expression)."""
     c = coefficients(params)

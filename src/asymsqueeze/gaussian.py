@@ -4,9 +4,6 @@ Everything here works on an arbitrary physical 4x4 covariance matrix in the
 quadrature ordering (q1, p1, q2, p2) with the convention Q = (a + a')/sqrt(2),
 P = (a - a')/(i sqrt(2)), so the vacuum covariance is I/2 and all uncertainty
 bounds reference the 1/2 scale.
-
-Tolerance policy: hard structural invariants at 1e-12, derived spectral
-identities at 1e-9, oracle comparisons at 1e-6 unless stated otherwise.
 """
 
 import math
@@ -28,30 +25,6 @@ SYMPLECTIC_FORM = np.array(
 
 _SYMMETRY_TOL = 1e-12
 _UNCERTAINTY_TOL = 1e-9
-_PURITY_DET = 1.0 / 16.0
-
-
-def _det2(block):
-    return block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
-
-
-def _spectrum_roots(delta, det_sigma):
-    """Solve nu^4 - delta nu^2 + det = 0 for the two symplectic eigenvalues.
-
-    The small root is recovered from the product of roots (det sigma) rather
-    than the difference delta - sqrt(disc), which cancels catastrophically
-    for strongly squeezed states.
-    """
-    disc = delta * delta - 4.0 * det_sigma
-    if disc < -1e-9:
-        raise InvalidCovarianceError(f"negative symplectic discriminant {disc:.3e}")
-    if det_sigma < -1e-12 or delta <= 0.0:
-        raise InvalidCovarianceError(
-            f"invariants outside the physical range: delta {delta:.3e}, det {det_sigma:.3e}"
-        )
-    hi = 0.5 * (delta + math.sqrt(max(disc, 0.0)))
-    lo = max(det_sigma, 0.0) / hi
-    return math.sqrt(hi), math.sqrt(lo)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,26 +84,6 @@ class CovarianceMatrix:
 
 
 @dataclass(frozen=True)
-class SymplecticSpectrum:
-    """Symplectic eigenvalues of a partially transposed covariance matrix."""
-
-    n_plus: float
-    n_minus: float
-    seralian: float
-
-    def __post_init__(self):
-        if not (self.n_plus >= self.n_minus > 0.0):
-            raise InvalidCovarianceError(
-                f"symplectic eigenvalues out of order: {self.n_plus}, {self.n_minus}"
-            )
-
-    @property
-    def n_min(self):
-        """Smallest eigenvalue; the separability criterion compares it to 1/2."""
-        return self.n_minus
-
-
-@dataclass(frozen=True)
 class PhasePoint:
     """Point in two-mode phase space, interchangeably real or complex.
 
@@ -167,38 +120,24 @@ class PhasePoint:
         return cls(0.0, 0.0, 0.0, 0.0)
 
 
-def seralian(cov):
-    """Symplectic invariant det u + det v - 2 det w of the covariance blocks.
-
-    The minus sign on the cross-block determinant is the partial transpose:
-    this is the invariant entering the PPT symplectic spectrum.
-    """
-    return float(_det2(cov.mode1) + _det2(cov.mode2) - 2.0 * _det2(cov.cross))
-
-
-def ppt_symplectic_eigenvalues(cov):
-    """Symplectic eigenvalues of the partial transpose of ``cov``.
-
-    Computed from the invariant form
-        n_pm^2 = [Delta_pt +- sqrt(Delta_pt^2 - 4 det sigma)] / 2,
-    where Delta_pt = det u + det v - 2 det w.  Raises
-    InvalidCovarianceError if the discriminant is negative beyond -1e-9;
-    tiny negatives are clamped to zero.
-    """
-    delta = seralian(cov)
-    n_plus, n_minus = _spectrum_roots(delta, cov.determinant)
-    return SymplecticSpectrum(n_plus=n_plus, n_minus=n_minus, seralian=delta)
-
-
 def log_negativity(cov):
-    """Entanglement monotone max[0, -ln(2 n_min)] in natural log units."""
-    spectrum = ppt_symplectic_eigenvalues(cov)
-    return max(0.0, -math.log(2.0 * spectrum.n_min))
+    """Entanglement monotone max[0, -ln(2 n_min)], n_min the smaller PPT symplectic eigenvalue.
 
-
-def is_separable(cov):
-    """PPT criterion: separable iff the smallest PPT eigenvalue is >= 1/2."""
-    return ppt_symplectic_eigenvalues(cov).n_min >= 0.5 - 1e-12
+    n_plus^2 is the larger root of n^4 - Delta n^2 + det sigma (Delta = det u + det v - 2 det w; a
+    discriminant down to -1e-9 is clamped to 0), and n_min^2 = det sigma / n_plus^2 avoids the
+    cancellation of Delta - sqrt(disc) under strong squeezing.
+    """
+    s = cov.entries
+    det_u, det_v = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0], s[2, 2] * s[3, 3] - s[2, 3] * s[3, 2]
+    delta = float(det_u + det_v - 2.0 * (s[0, 2] * s[1, 3] - s[0, 3] * s[1, 2]))
+    det_sigma = cov.determinant
+    disc = delta * delta - 4.0 * det_sigma
+    if disc < -1e-9:
+        raise InvalidCovarianceError(f"negative symplectic discriminant {disc:.3e}")
+    if det_sigma <= 0.0 or delta <= 0.0:
+        raise InvalidCovarianceError(f"non-physical invariants: delta {delta:.3e}, det {det_sigma:.3e}")
+    n_plus_sq = 0.5 * (delta + math.sqrt(max(disc, 0.0)))
+    return max(0.0, -math.log(2.0 * math.sqrt(det_sigma / n_plus_sq)))
 
 
 def wigner_of_covariance(cov, point):
@@ -206,13 +145,14 @@ def wigner_of_covariance(cov, point):
 
     The fixed 1/pi^2 prefactor is exact only when det sigma = 1/16 (pure
     two-mode Gaussian in this convention), so purity is asserted rather than
-    silently generalized to mixed states.
+    silently generalized to mixed states.  The gate allows 1e-6 or det sigma's
+    rounding error, whichever is larger: eps |sigma_ij C_ij| per entry (C the
+    cofactors, C^T = det sigma * sigma^{-1}), times 4n = 16 for the LU.
     """
-    if abs(cov.determinant - _PURITY_DET) > 1e-6:
-        raise PurityError(
-            f"det sigma = {cov.determinant:.9e} != 1/16; state is not pure, "
-            "fixed-prefactor Wigner form does not apply"
-        )
+    det = cov.determinant
+    rounding = 16.0 * np.finfo(float).eps * abs(det) * np.sum(np.abs(cov.entries * np.linalg.inv(cov.entries).T))
+    if abs(det - 1.0 / 16.0) > max(1e-6, rounding):
+        raise PurityError(f"det sigma = {det:.9e} != 1/16: the state is not pure")
     x = point.vector
     expo = -0.5 * float(x @ np.linalg.solve(cov.entries, x))
     return math.exp(expo) / math.pi ** 2

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import QuadratureDomainError, ValidationError
-from .gaussian import PhasePoint
-from .state import SqueezeParams, cf_closed, coefficients, complex_form_matrix
+from .state import SqueezeParams, coefficients, complex_form_matrix
 
 _AMPLITUDE_MAX = 10.0
 _SQUEEZE_MAX = 3.0
@@ -45,8 +44,8 @@ class Coherent:
     amplitude: complex = 0j
 
     def __post_init__(self):
-        if abs(complex(self.amplitude)) > _AMPLITUDE_MAX:
-            raise ValidationError(f"|amplitude| must be <= {_AMPLITUDE_MAX}")
+        if not abs(complex(self.amplitude)) <= _AMPLITUDE_MAX:  # also rejects NaN and inf
+            raise ValidationError(f"amplitude must be finite with |amplitude| <= {_AMPLITUDE_MAX}")
 
 
 @dataclass(frozen=True)
@@ -104,13 +103,6 @@ def cf_input(state: InputState, eta):
     if isinstance(state, SqueezedVacuum):
         return np.exp(-0.5 * (x2 + y2) * math.cosh(2.0 * state.r) - 0.5 * (x2 - y2) * math.sinh(2.0 * state.r))
     raise ValidationError(f"unsupported input state {state!r}")
-
-
-def output_cf(state: InputState, params: SqueezeParams, eta: complex) -> complex:
-    """Factorized output CF chi_in(eta) * chi_E(eta*, eta)."""
-    eta = complex(eta)
-    channel = cf_closed(params, PhasePoint.from_complex(eta.conjugate(), eta))
-    return cf_input(state, eta) * channel
 
 
 def fidelity_quadrature(state: InputState, params: SqueezeParams) -> Fidelity:

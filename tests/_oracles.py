@@ -1,8 +1,7 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the library code paths they check: determinants by
-cofactor expansion, symplectic spectra by a generic eigensolver, matrix
-exponentials by scaled Taylor series.
+These deliberately avoid the library code paths they check: symplectic
+spectra by a generic eigensolver, matrix exponentials by scaled Taylor series.
 """
 
 import numpy as np
@@ -15,19 +14,6 @@ OMEGA = np.array(
         [0.0, 0.0, -1.0, 0.0],
     ]
 )
-
-
-def det_cofactor(mat):
-    """Determinant by recursive cofactor expansion along the first row."""
-    mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
-    if n == 1:
-        return mat[0, 0]
-    total = 0.0
-    for col in range(n):
-        minor = np.delete(np.delete(mat, 0, axis=0), col, axis=1)
-        total += (-1.0) ** col * mat[0, col] * det_cofactor(minor)
-    return total
 
 
 def symplectic_eigs_generic(sigma, ppt=False):

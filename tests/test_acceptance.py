@@ -295,7 +295,7 @@ def test_criterion_07_variances_and_squeezing_condition():
     )
 
 
-def test_criterion_08_determinism(tmp_path):
+def test_criterion_08_determinism(tmp_path, child_env):
     pairs = []
     for name, args in (
         (
@@ -313,6 +313,7 @@ def test_criterion_08_determinism(tmp_path):
             subprocess.run(
                 [sys.executable, "-m", "asymsqueeze.cli", *args, "--output", str(out)],
                 check=True,
+                env=child_env,
             )
             files.append(out.read_bytes())
         pairs.append(files[0] == files[1])

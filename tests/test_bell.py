@@ -12,9 +12,10 @@ from asymsqueeze import (
     ValidationError,
     bell_from_wigner,
     bell_function,
+    build_state_exponential,
     maximize_bell,
-    parity_expectation,
     wigner_closed,
+    wigner_numeric,
 )
 from asymsqueeze.cli import main
 
@@ -77,18 +78,22 @@ class TestSetting:
 
 
 class TestParityExpectation:
+    # The CHSH combination reads the displaced-parity expectation as pi^2 W.
     def test_origin(self):
-        assert parity_expectation(SqueezeParams(0.7, 1.1), PhasePoint.origin()) == pytest.approx(
+        # the undisplaced parity of a pure zero-mean Gaussian state is +1
+        assert math.pi ** 2 * wigner_closed(SqueezeParams(0.7, 1.1), PhasePoint.origin()) == pytest.approx(
             1.0, abs=1e-14
         )
 
     def test_bounded_and_proportional_to_wigner(self, rng):
+        # the Fock oracle takes the displaced parity from operator algebra
         p = SqueezeParams(0.6, -0.8)
+        oracle = build_state_exponential(p, cutoff=40)
         for _ in range(50):
             pt = PhasePoint(*rng.uniform(-2, 2, size=4))
-            val = parity_expectation(p, pt)
+            val = math.pi ** 2 * wigner_numeric(oracle, pt)
             assert abs(val) <= 1.0 + 1e-12
-            assert val == pytest.approx(math.pi ** 2 * wigner_closed(p, pt), abs=1e-15)
+            assert val == pytest.approx(math.pi ** 2 * wigner_closed(p, pt), abs=1e-6)
 
 
 class TestBellFunction:

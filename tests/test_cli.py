@@ -303,12 +303,12 @@ class TestDeterminism:
         assert run_cli(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_json_byte_identical_subprocess(self, tmp_path):
+    def test_json_byte_identical_subprocess(self, tmp_path, child_env):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = [sys.executable, "-m", "asymsqueeze.cli", "bell",
                 "--lambda", "0:1:8", "--gamma", "0.7", "--j", "0.02", "--format", "json"]
-        subprocess.run(args + ["--output", str(a)], check=True)
-        subprocess.run(args + ["--output", str(b)], check=True)
+        subprocess.run(args + ["--output", str(a)], check=True, env=child_env)
+        subprocess.run(args + ["--output", str(b)], check=True, env=child_env)
         assert a.read_bytes() == b.read_bytes()
 
 

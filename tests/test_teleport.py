@@ -7,15 +7,16 @@ import pytest
 from asymsqueeze import (
     Coherent,
     Fidelity,
+    PhasePoint,
     SqueezeParams,
     SqueezedVacuum,
     ValidationError,
+    cf_closed,
     cf_input,
     fidelity_coherent_closed,
     fidelity_difference,
     fidelity_quadrature,
     fidelity_squeezed_closed,
-    output_cf,
 )
 
 
@@ -29,6 +30,11 @@ class TestInputStates:
             Fidelity(0.0)
         with pytest.raises(ValidationError):
             Fidelity(1.1)
+
+    @pytest.mark.parametrize("amplitude", [complex("nan"), 1j * math.nan, complex(math.inf, 0.0)])
+    def test_rejects_non_finite_amplitude(self, amplitude):
+        with pytest.raises(ValidationError, match="finite"):
+            Coherent(amplitude)
 
     def test_cf_at_origin(self):
         assert cf_input(Coherent(1.0 + 2.0j), 0j) == 1.0
@@ -58,16 +64,17 @@ class TestInputStates:
 
 
 class TestOutputCf:
-    def test_origin(self):
-        assert output_cf(Coherent(1j), SqueezeParams(0.8, 0.5), 0j) == 1.0
+    # chi_out(eta) = chi_in(eta) * chi_E(eta*, eta): the channel factor
+    @staticmethod
+    def channel_factor(params, eta):
+        return cf_closed(params, PhasePoint.from_complex(eta.conjugate(), eta))
 
     def test_vacuum_channel(self, rng):
         # lam = 0 channel multiplies the input CF by exp(-|eta|^2)
         p = SqueezeParams(0.0, 0.0)
         for _ in range(20):
             eta = complex(*rng.normal(size=2) * 0.8)
-            expected = cf_input(Coherent(0.3j), eta) * math.exp(-abs(eta) ** 2)
-            assert output_cf(Coherent(0.3j), p, eta) == pytest.approx(expected, abs=1e-14)
+            assert self.channel_factor(p, eta) == pytest.approx(math.exp(-abs(eta) ** 2), abs=1e-14)
 
     def test_symmetric_channel_factor(self, rng):
         # gamma = 0: the channel factor is exp(-e^{-2 lam} |eta|^2)
@@ -75,7 +82,7 @@ class TestOutputCf:
         p = SqueezeParams(lam, 0.0)
         for _ in range(20):
             eta = complex(*rng.normal(size=2) * 0.8)
-            factor = output_cf(SqueezedVacuum(0.4), p, eta) / cf_input(SqueezedVacuum(0.4), eta)
+            factor = self.channel_factor(p, eta)
             assert factor == pytest.approx(math.exp(-math.exp(-2 * lam) * abs(eta) ** 2), abs=1e-12)
 
 
