@@ -70,6 +70,14 @@ class TestPhasePoint:
 class TestPptSpectrum:
     """log_negativity is -ln(2 n_min) of the partially transposed spectrum."""
 
+    def test_vacuum(self):
+        # degenerate spectrum n_plus = n_minus = 1/2 (zero discriminant), so 2 n_min = 1 exactly
+        sigma = CovarianceMatrix.vacuum().entries
+        n_minus, n_plus = symplectic_eigs_generic(sigma, ppt=True)
+        assert n_minus == pytest.approx(0.5, abs=1e-12)
+        assert n_plus == pytest.approx(0.5, abs=1e-12)
+        assert log_negativity(CovarianceMatrix(sigma)) == 0.0
+
     @pytest.mark.parametrize("lam,gamma", [(0.3, 0.0), (0.5, 1.0), (1.2, -0.8), (2.0, 1.5)])
     def test_closed_form(self, lam, gamma):
         # 2 n_min = sqrt(m1 m2) - m3 for this pure state
