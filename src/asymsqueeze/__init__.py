@@ -45,7 +45,6 @@ from .state import (
     GAMMA_MAX,
     LAMBDA_MAX,
     Coefficients,
-    QuadTransform,
     SqueezeParams,
     cf_closed,
     coefficients,

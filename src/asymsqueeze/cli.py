@@ -33,7 +33,7 @@ from .errors import CutoffTooSmallError, ValidationError, VerificationError
 from .gaussian import PhasePoint
 from .state import GAMMA_MAX, LAMBDA_MAX, SqueezeParams, coefficients_grid
 from . import _kernels
-from .teleport import _SQUEEZE_MAX, _fidelity_values
+from .teleport import _fidelity_values
 from .verify import oracle_deviations
 
 _AXIS_BOUNDS = {
@@ -162,8 +162,6 @@ def _cmd_bell(args):
 
 
 def _cmd_fidelity(args):
-    if not math.isfinite(args.r) or abs(args.r) > _SQUEEZE_MAX:
-        raise ValidationError(f"--r value {args.r} outside [-{_SQUEEZE_MAX:g}, {_SQUEEZE_MAX:g}]")
     axes, coeffs = _pair_sweep(args)
     vals = _fidelity_values(coeffs.f, args.r, args.difference)
     quantity = "fidelity_difference" if args.difference else "fidelity"

@@ -63,18 +63,6 @@ class CovarianceMatrix:
             )
 
     @property
-    def mode1(self):
-        return self.entries[:2, :2]
-
-    @property
-    def mode2(self):
-        return self.entries[2:, 2:]
-
-    @property
-    def cross(self):
-        return self.entries[:2, 2:]
-
-    @property
     def determinant(self):
         return float(np.linalg.det(self.entries))
 

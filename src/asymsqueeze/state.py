@@ -269,46 +269,28 @@ def enhanced_squeezing(params: SqueezeParams) -> bool:
     return 0.0 < t < 1.0 / (1.0 + math.cosh(params.gamma))
 
 
-@dataclass(frozen=True, eq=False)
-class QuadTransform:
-    """Heisenberg-picture transform of the quadratures under the squeezer.
+def heisenberg_transform(params: SqueezeParams) -> np.ndarray:
+    """Symplectic matrix S of the squeezer in (q1, p1, q2, p2) ordering.
 
-    ``q_matrix`` maps (Q1, Q2) and ``p_matrix`` maps (P1, P2); both have unit
-    determinant and p_matrix is the transpose-inverse of q_matrix, so the
-    joint 4x4 map is symplectic.
-    """
-
-    q_matrix: np.ndarray
-    p_matrix: np.ndarray
-
-    def symplectic(self) -> np.ndarray:
-        """Interleaved 4x4 map in (q1, p1, q2, p2) ordering."""
-        s = np.zeros((4, 4))
-        s[np.ix_([0, 2], [0, 2])] = self.q_matrix
-        s[np.ix_([1, 3], [1, 3])] = self.p_matrix
-        return s
-
-    def propagate_vacuum(self) -> CovarianceMatrix:
-        """Covariance of the transformed vacuum, S (I/2) S^T."""
-        s = self.symplectic()
-        return CovarianceMatrix(0.5 * s @ s.T)
-
-
-def heisenberg_transform(params: SqueezeParams) -> QuadTransform:
-    """Quadrature transform matrices of the squeezer.
-
-    Q1 -> Q1 cosh(lam) + Q2 e^{-gamma} sinh(lam)     (rows of q_matrix)
+    Q1 -> Q1 cosh(lam) + Q2 e^{-gamma} sinh(lam)     (S[::2, ::2], the q block)
     Q2 -> Q2 cosh(lam) + Q1 e^{+gamma} sinh(lam)
-    P1 -> P1 cosh(lam) - P2 e^{+gamma} sinh(lam)     (rows of p_matrix)
+    P1 -> P1 cosh(lam) - P2 e^{+gamma} sinh(lam)     (S[1::2, 1::2], the p block)
     P2 -> P2 cosh(lam) - P1 e^{-gamma} sinh(lam)
-    Propagating the vacuum through them reproduces ``covariance``.
+    Both blocks have unit determinant and the p block is the transpose-inverse
+    of the q block, so S Omega S^T = Omega; the transformed vacuum S S^T / 2
+    reproduces ``covariance``, which makes S the tests' Heisenberg-picture reference.
     """
     ch = math.cosh(params.lam)
     sh = math.sinh(params.lam)
     eg = math.exp(params.gamma)
-    q_mat = np.array([[ch, sh / eg], [sh * eg, ch]])
-    p_mat = np.array([[ch, -sh * eg], [-sh / eg, ch]])
-    return QuadTransform(q_matrix=q_mat, p_matrix=p_mat)
+    return np.array(
+        [
+            [ch, 0.0, sh / eg, 0.0],
+            [0.0, ch, 0.0, -sh * eg],
+            [sh * eg, 0.0, ch, 0.0],
+            [0.0, -sh / eg, 0.0, ch],
+        ]
+    )
 
 
 def fock_amplitudes(params: SqueezeParams, cutoff: int) -> FockState2:

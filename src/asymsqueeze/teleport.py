@@ -55,8 +55,8 @@ class SqueezedVacuum:
     r: float
 
     def __post_init__(self):
-        if not math.isfinite(self.r) or abs(self.r) > _SQUEEZE_MAX:
-            raise ValidationError(f"|r| must be <= {_SQUEEZE_MAX}")
+        if not abs(self.r) <= _SQUEEZE_MAX:  # also rejects NaN and inf
+            raise ValidationError(f"r must be finite with |r| <= {_SQUEEZE_MAX}, got {self.r}")
 
 
 InputState = Union[Coherent, SqueezedVacuum]
@@ -156,41 +156,50 @@ def _trapezoid_weights(nodes):
     return weights
 
 
-def _coherent(f):
-    return 1.0 / (1.0 - f)
+def _fidelity(f, r):
+    """The closed fidelity for channel scalar(s) f and input squeeze r.
 
-
-def _squeezed(f, r):
-    if not math.isfinite(r) or abs(r) > _SQUEEZE_MAX:
-        raise ValidationError(f"|r| must be <= {_SQUEEZE_MAX}")
+    The one home of both closed forms: 1/(1 - f), the coherent-input value, at
+    r = 0, and 1/sqrt(f^2 - 2 f cosh(2r) + 1) otherwise.  The squeezed form at
+    r = 0 equals the coherent one only to rounding, so every F(0) comes from here.
+    """
+    if r == 0.0:
+        return 1.0 / (1.0 - f)
     return 1.0 / np.sqrt(f * f - 2.0 * f * math.cosh(2.0 * r) + 1.0)
 
 
 def _fidelity_values(f, r, difference):
-    """The fidelity, or F(r) - F(0) with ``difference``, for an array of channel scalars f.
+    """The fidelity, or F(r) - F(0) with ``difference``, for channel scalar(s) f.
 
-    At r = 0 without ``difference`` this is the coherent-input fidelity;
-    every fidelity taken is range-checked as ``Fidelity`` checks one.
+    r is validated as ``SqueezedVacuum`` validates it, and every fidelity
+    taken is range-checked as ``Fidelity`` checks one.
     """
-    if difference:
-        return _check_fidelity(_squeezed(f, r)) - _check_fidelity(_squeezed(f, 0.0))
-    return _check_fidelity(_coherent(f) if r == 0.0 else _squeezed(f, r))
+    SqueezedVacuum(r)
+    value = _check_fidelity(_fidelity(f, r))
+    return value - _check_fidelity(_fidelity(f, 0.0)) if difference else value
 
 
 def fidelity_coherent_closed(params: SqueezeParams) -> Fidelity:
-    """Closed-form fidelity 1/(1 - f) for any coherent input.
+    """Closed-form fidelity 1/(1 - f) for any coherent input (``_fidelity`` at r = 0).
 
     Independence of the coherent amplitude is structural: the amplitude enters
     chi_in only through a phase, which |chi_in|^2 removes.
     """
-    return Fidelity(_coherent(coefficients(params).f))
+    return Fidelity(_fidelity(coefficients(params).f, 0.0))
 
 
 def fidelity_squeezed_closed(params: SqueezeParams, r: float) -> Fidelity:
-    """Closed-form fidelity 1/sqrt(f^2 - 2 f cosh(2r) + 1) for a squeezed input."""
-    return Fidelity(float(_squeezed(coefficients(params).f, r)))
+    """Closed-form fidelity 1/sqrt(f^2 - 2 f cosh(2r) + 1) for a squeezed input.
+
+    At r = 0 this is the coherent-input value, bit for bit (``_fidelity``).
+    """
+    return Fidelity(float(_fidelity_values(coefficients(params).f, r, difference=False)))
 
 
 def fidelity_difference(params: SqueezeParams, r: float) -> float:
-    """F(r) - F(0): how much harder a squeezed input is to teleport."""
+    """F(r) - F(0): how much harder a squeezed input is to teleport.
+
+    Both terms come from ``_fidelity``, so this is exactly
+    ``fidelity_squeezed_closed(params, r).value - fidelity_coherent_closed(params).value``.
+    """
     return float(_fidelity_values(coefficients(params).f, r, difference=True))

@@ -244,7 +244,7 @@ SWEEPS = {
     "fidelity-coherent": (["fidelity"], lambda p: fidelity_coherent_closed(p).value),
     **{
         f"fidelity-r{r}": (["fidelity", "--r", r], lambda p, r=float(r): fidelity_squeezed_closed(p, r).value)
-        for r in ("1", "-2.5", "3")
+        for r in ("0", "1", "-2.5", "3")
     },
     **{
         f"difference-r{r}": (["fidelity", "--r", r, "--difference"], lambda p, r=float(r): fidelity_difference(p, r))
@@ -311,6 +311,15 @@ class TestDeterminism:
         subprocess.run(args + ["--output", str(b)], check=True, env=child_env)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_package_entry_point_matches_cli_module(self, child_env):
+        argv = ["negativity", "--lambda", "0:1:4", "--gamma", "-1:1:3"]
+        outputs = [
+            subprocess.run([sys.executable, "-m", module] + argv, check=True, capture_output=True, env=child_env).stdout
+            for module in ("asymsqueeze", "asymsqueeze.cli")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(b"# quantity=log_negativity")
+
 
 class TestValidationAndExitCodes:
     def test_bad_range_order(self, capsys):
@@ -323,6 +332,15 @@ class TestValidationAndExitCodes:
     def test_envelope(self):
         assert run_cli(["negativity", "--lambda", "0:7:5"]) == 1
         assert run_cli(["fidelity", "--lambda", "0.5", "--gamma", "0", "--r", "4"]) == 1
+
+    @pytest.mark.parametrize("spec, message", [
+        ("0:1", "--lambda: range syntax is min:max:steps, got '0:1'"),
+        ("a:1:3", "--lambda: cannot parse range 'a:1:3'"),
+        ("abc", "--lambda: cannot parse value 'abc'"),
+    ])
+    def test_unparsable_axis(self, spec, message, capsys):
+        assert run_cli(["negativity", "--lambda", spec]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_flag(self):
         assert run_cli(["negativity", "--bogus", "1"]) == 1

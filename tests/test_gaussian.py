@@ -40,6 +40,10 @@ class TestCovarianceValidation:
         with pytest.raises(InvalidCovarianceError):
             CovarianceMatrix(bad)
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(InvalidCovarianceError, match="expected 4x4"):
+            CovarianceMatrix(np.eye(3))
+
     def test_rejects_uncertainty_violation(self):
         # positive definite but below the vacuum limit
         with pytest.raises(InvalidCovarianceError):
@@ -48,9 +52,9 @@ class TestCovarianceValidation:
     def test_blocks(self):
         cov = covariance(SqueezeParams(0.5, 1.0))
         c = coefficients(SqueezeParams(0.5, 1.0))
-        assert np.allclose(cov.mode1, np.diag([c.m2, c.m1]) / 2)
-        assert np.allclose(cov.mode2, np.diag([c.m1, c.m2]) / 2)
-        assert np.allclose(cov.cross, np.diag([c.m3, -c.m3]) / 2)
+        assert np.allclose(cov.entries[:2, :2], np.diag([c.m2, c.m1]) / 2)
+        assert np.allclose(cov.entries[2:, 2:], np.diag([c.m1, c.m2]) / 2)
+        assert np.allclose(cov.entries[:2, 2:], np.diag([c.m3, -c.m3]) / 2)
 
 
 class TestPhasePoint:

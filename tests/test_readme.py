@@ -1,5 +1,6 @@
 """Every sweep command in the README's command-line block runs and exits 0,
-and the library example prints what its comments say."""
+its verify command passes every check, and the library example prints what
+its comments say."""
 
 import contextlib
 import io
@@ -15,18 +16,19 @@ from asymsqueeze import SqueezeParams, cli, log_negativity_closed
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _readme_commands():
+def _readme_commands(subcommands):
     text = README.read_text(encoding="utf-8")
     block = re.search(r"## Command line.*?```bash\n(.*?)```", text, re.S).group(1)
     commands = []
     for line in block.replace("\\\n", " ").splitlines():
         argv = shlex.split(line, comments=True)
-        if argv and argv[0] == "asymsqueeze" and argv[1] in ("negativity", "bell", "fidelity"):
+        if argv and argv[0] == "asymsqueeze" and argv[1] in subcommands:
             commands.append(argv[1:])
     return commands
 
 
-COMMANDS = _readme_commands()
+COMMANDS = _readme_commands(("negativity", "bell", "fidelity"))
+VERIFY_COMMANDS = _readme_commands(("verify",))
 
 
 def test_readme_block_has_every_sweep():
@@ -41,6 +43,18 @@ def test_readme_command_exits_0(argv, tmp_path):
     argv[k + 1] = str(out)
     assert cli.main(argv) == 0
     assert out.stat().st_size > 0
+
+
+def test_readme_block_has_a_verify_command():
+    assert VERIFY_COMMANDS
+
+
+@pytest.mark.parametrize("argv", VERIFY_COMMANDS, ids=[" ".join(a) for a in VERIFY_COMMANDS])
+def test_readme_verify_command_passes(argv, capsys):
+    # without --lambda and --gamma, verify runs its coarse or fine list of pairs
+    assert cli.main(argv) == 0
+    pairs = 4 if "fine" in argv else 2
+    assert capsys.readouterr().out.endswith(f"all 6 oracle checks passed for {pairs} parameter pair(s)\n")
 
 
 def test_library_example_prints_its_comments():

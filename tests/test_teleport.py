@@ -13,11 +13,19 @@ from asymsqueeze import (
     ValidationError,
     cf_closed,
     cf_input,
+    cli,
     fidelity_coherent_closed,
     fidelity_difference,
     fidelity_quadrature,
     fidelity_squeezed_closed,
 )
+
+
+BOX_GRID = [
+    SqueezeParams(lam, gamma)
+    for lam in np.linspace(0.0, 5.0, 41).tolist()
+    for gamma in np.linspace(-5.0, 5.0, 41).tolist()
+]
 
 
 class TestInputStates:
@@ -35,6 +43,21 @@ class TestInputStates:
     def test_rejects_non_finite_amplitude(self, amplitude):
         with pytest.raises(ValidationError, match="finite"):
             Coherent(amplitude)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 3.5])
+    def test_rejects_squeeze_outside_bound(self, r, capsys):
+        message = f"r must be finite with |r| <= 3.0, got {r}"
+        p = SqueezeParams(0.5, 1.0)
+        for call, args in ((SqueezedVacuum, (r,)), (fidelity_squeezed_closed, (p, r)), (fidelity_difference, (p, r))):
+            with pytest.raises(ValidationError) as info:
+                call(*args)
+            assert str(info.value) == message
+        assert cli.main(["fidelity", "--lambda", "0.5", "--gamma", "1", f"--r={r}"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_rejects_unsupported_state(self):
+        with pytest.raises(ValidationError, match="unsupported input state"):
+            cf_input(object(), 0.1)
 
     def test_cf_at_origin(self):
         assert cf_input(Coherent(1.0 + 2.0j), 0j) == 1.0
@@ -101,9 +124,15 @@ class TestClosedForms:
     def test_squeezed_reduces_to_coherent_at_zero(self, rng):
         for _ in range(20):
             p = SqueezeParams(rng.uniform(0, 2), rng.uniform(-2, 2))
-            assert fidelity_squeezed_closed(p, 0.0).value == pytest.approx(
-                fidelity_coherent_closed(p).value, abs=1e-14
-            )
+            assert fidelity_squeezed_closed(p, 0.0).value == fidelity_coherent_closed(p).value
+
+    def test_one_zero_squeeze_formula_over_the_box(self):
+        # F(0) has one formula, so these hold bit for bit, not only to rounding
+        for p in BOX_GRID:
+            coherent = fidelity_coherent_closed(p).value
+            assert fidelity_squeezed_closed(p, 0.0).value == coherent
+            for r in (1.0, -1.0, 3.0, -3.0):
+                assert fidelity_difference(p, r) == fidelity_squeezed_closed(p, r).value - coherent
 
     def test_frozen_squeezed_value(self):
         f = fidelity_squeezed_closed(SqueezeParams(0.0, 0.0), 1.0).value
