@@ -34,7 +34,7 @@ from .gaussian import PhasePoint
 from .state import GAMMA_MAX, LAMBDA_MAX, SqueezeParams, coefficients_grid
 from . import _kernels
 from .teleport import _fidelity_values
-from .verify import oracle_deviations
+from .verify import TOLERANCES, breached, oracle_deviations
 
 _AXIS_BOUNDS = {
     "lambda": (0.0, LAMBDA_MAX),
@@ -190,40 +190,28 @@ def _cmd_verify(args):
         pairs = [(0.3, 0.7), (0.5, 1.0), (0.6, -0.5), (0.45, 0.0)]
     rng = np.random.default_rng(20240814)
     points = _verify_points(args.grid, rng)
-    checks = {
-        "state-overlap": 1e-8,
-        "covariance": 1e-8,
-        "wigner": 1e-6,
-        "char-fn": 1e-6,
-        "log-negativity": 1e-5,
-        "bell-combination": 1e-6,
-    }
     per_pair = {pair: oracle_deviations(SqueezeParams(*pair), args.cutoff, points) for pair in pairs}
 
-    failed = []
-    for name, tol in checks.items():
-        dev = max(devs[name] for devs in per_pair.values())
-        status = "PASS" if dev <= tol else "FAIL"
-        print(f"check {name:<16s} max deviation {dev:.3e}  (tolerance {tol:.0e})  {status}")
-        if status == "FAIL":
-            failed.append(name)
+    worst = {name: max(devs[name] for devs in per_pair.values()) for name in TOLERANCES}
+    failed = breached(worst)
+    for name, tol in TOLERANCES.items():
+        status = "FAIL" if name in failed else "PASS"
+        print(f"check {name:<16s} max deviation {worst[name]:.3e}  (tolerance {tol:.0e})  {status}")
     if failed:
         reports = []
         for pair, devs in per_pair.items():
-            breached = [name for name, tol in checks.items() if devs[name] > tol]
-            if breached:
-                passing = _passing_cutoff(SqueezeParams(*pair), args.cutoff, points, checks)
-                reports.append(f"{', '.join(breached)} at {pair}, cutoff {args.cutoff}; {passing}")
+            if names := breached(devs):
+                passing = _passing_cutoff(SqueezeParams(*pair), args.cutoff, points)
+                reports.append(f"{', '.join(names)} at {pair}, cutoff {args.cutoff}; {passing}")
         raise VerificationError(f"tolerance breached by: {' | '.join(reports)}")
-    print(f"all {len(checks)} oracle checks passed for {len(pairs)} parameter pair(s)")
+    print(f"all {len(TOLERANCES)} oracle checks passed for {len(pairs)} parameter pair(s)")
     return 0
 
 
-def _passing_cutoff(params, cutoff, points, checks):
+def _passing_cutoff(params, cutoff, points):
     """The smallest of cutoff+5, cutoff+10, ..., 2*cutoff at which every check passes, as text."""
     for larger in range(cutoff + 5, 2 * cutoff + 1, 5):
-        devs = oracle_deviations(params, larger, points)
-        if all(devs[name] <= tol for name, tol in checks.items()):
+        if not breached(oracle_deviations(params, larger, points)):
             return f"cutoff {larger} passes"
     return f"no cutoff up to {2 * cutoff} passes"
 

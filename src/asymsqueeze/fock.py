@@ -6,6 +6,11 @@ generator, and covariance, Wigner, characteristic function and logarithmic
 negativity are recomputed from raw operator algebra.  Agreement between the
 two routes is what certifies the closed forms.
 
+Wigner and characteristic function use the truncated displacements
+D(alpha) = exp(alpha a' - alpha* a), unitary on the retained subspace.  As
+i(alpha a' - alpha* a) = R [|alpha| i(a' - a)] R^dag with R = e^{i phi n} for
+alpha = |alpha| e^{i phi}, one cached eigh of i(a' - a) per cutoff gives them all.
+
 The two-mode state is held as its (cutoff+1) x (cutoff+1) amplitude matrix C,
 on which an operator A x B acts as A C B^T; no joint-space matrix is ever
 formed.  Evaluations are self-contained and reentrant; parallelize across
@@ -14,6 +19,7 @@ parameter points rather than inside a single evaluation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,13 +55,13 @@ def _quadratures(dim):
     return q, p
 
 
-def _displacement_matrix(alpha, dim):
-    """exp(alpha a' - alpha* a) truncated: exactly unitary on the retained
-    subspace because the truncated generator is anti-Hermitian."""
+@functools.cache
+def _generator_eigh(dim):
+    """Eigenvalues and eigenvectors of the truncated Hermitian i(a' - a), read-only."""
     a = destroy(dim)
-    herm = 1j * (alpha * a.T - np.conj(alpha) * a)
-    w, u = np.linalg.eigh(herm)
-    return u @ (np.exp(-1j * w)[:, None] * u.conj().T)
+    w, u = np.linalg.eigh(1j * (a.T - a))
+    w.flags.writeable = u.flags.writeable = False
+    return w, u
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,22 +184,23 @@ def covariance_numeric(state: FockState2) -> CovarianceMatrix:
     return CovarianceMatrix(mom)
 
 
-def _check_displacement(state, point):
-    bound = state.cutoff / 4.0
+def _displacements(cutoff, point):
+    """The truncated displacements (D1(alpha), D2(beta)) of ``point``, from the cached eigh."""
+    bound = cutoff / 4.0
     if abs(point.alpha) > bound or abs(point.beta) > bound:
-        raise ValidationError(
-            f"displacement magnitude exceeds cutoff/4 = {bound}; enlarge the basis"
-        )
+        raise ValidationError(f"displacement magnitude exceeds cutoff/4 = {bound}; enlarge the basis")
+    w, u = _generator_eigh(cutoff + 1)
+
+    def displace(z):
+        ru = np.exp(1j * np.angle(z) * np.arange(cutoff + 1))[:, None] * u  # R u
+        return ru @ (np.exp(-1j * abs(z) * w)[:, None] * ru.conj().T)
+
+    return displace(point.alpha), displace(point.beta)
 
 
-def _displacements(state, point):
-    """The truncated displacements (D1(alpha), D2(beta)) of ``point``, for either evaluation below."""
-    _check_displacement(state, point)
-    d = state.cutoff + 1
-    return _displacement_matrix(point.alpha, d), _displacement_matrix(point.beta, d)
-
-
-def _wigner_displaced(state, d1, d2):
+def wigner_numeric(state: FockState2, point: PhasePoint) -> float:
+    """Displaced-parity expectation / pi^2 with truncated displacements."""
+    d1, d2 = _displacements(state.cutoff, point)
     # |phi> = D1^dag D2^dag |psi>
     phi = d1.conj().T @ state.amplitudes @ d2.conj()
     d = state.cutoff + 1
@@ -201,18 +208,10 @@ def _wigner_displaced(state, d1, d2):
     return float(np.sum(signs * np.abs(phi) ** 2)) / math.pi ** 2
 
 
-def _cf_displaced(state, d1, d2):
-    return complex(np.sum(np.conj(state.amplitudes) * (d1 @ state.amplitudes @ d2.T)))
-
-
-def wigner_numeric(state: FockState2, point: PhasePoint) -> float:
-    """Displaced-parity expectation / pi^2 with truncated displacements."""
-    return _wigner_displaced(state, *_displacements(state, point))
-
-
 def cf_numeric(state: FockState2, point: PhasePoint) -> complex:
     """<psi| D1(alpha) D2(beta) |psi> with truncated displacements."""
-    return _cf_displaced(state, *_displacements(state, point))
+    d1, d2 = _displacements(state.cutoff, point)
+    return complex(np.sum(np.conj(state.amplitudes) * (d1 @ state.amplitudes @ d2.T)))
 
 
 def log_negativity_numeric(state: FockState2) -> float:

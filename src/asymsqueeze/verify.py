@@ -1,9 +1,9 @@
 """Closed forms against the Fock oracle at one parameter pair.
 
 ``oracle_deviations`` builds the oracle state once and measures how far each
-closed form lies from its brute-force counterpart.  The CLI ``verify``
-command and the acceptance suite both take their deviations from here and
-apply their own tolerances.
+closed form lies from its brute-force counterpart; ``TOLERANCES`` and
+``breached`` judge them.  The CLI ``verify`` command and the acceptance suite
+both take their deviations and their tolerances from here.
 """
 
 import math
@@ -18,6 +18,16 @@ from .state import SqueezeParams, cf_closed, covariance, fock_amplitudes, log_ne
 #: of four oracle Wigner values.
 BELL_SETTINGS = (BellSetting(j=0.05, theta=math.pi, phi=0.0), BellSetting(j=0.02, theta=2.1, phi=0.7))
 
+#: Largest deviation each check of ``oracle_deviations`` tolerates.
+TOLERANCES = {
+    "state-overlap": 1e-8,
+    "covariance": 1e-8,
+    "wigner": 1e-6,
+    "char-fn": 1e-6,
+    "log-negativity": 1e-5,
+    "bell-combination": 1e-6,
+}
+
 
 def oracle_deviations(params: SqueezeParams, cutoff: int, points) -> dict[str, float]:
     """Largest absolute deviation per check, keyed by check name.
@@ -31,19 +41,19 @@ def oracle_deviations(params: SqueezeParams, cutoff: int, points) -> dict[str, f
     series = fock_amplitudes(params, cutoff)
     sigma = covariance(params)
     numeric = fock.covariance_numeric(oracle)
-    wigner, char = [], []
-    for pt in points:  # one pair of displacements serves both evaluations at a point
-        d1, d2 = fock._displacements(oracle, pt)
-        wigner.append(abs(fock._wigner_displaced(oracle, d1, d2) - wigner_closed(params, pt)))
-        char.append(abs(fock._cf_displaced(oracle, d1, d2) - cf_closed(params, pt)))
     return {
         "state-overlap": abs(1.0 - oracle.overlap(series)),
         "covariance": float(np.max(np.abs(numeric.entries - sigma.entries))),
-        "wigner": max(wigner),
-        "char-fn": max(char),
+        "wigner": max(abs(fock.wigner_numeric(oracle, pt) - wigner_closed(params, pt)) for pt in points),
+        "char-fn": max(abs(fock.cf_numeric(oracle, pt) - cf_closed(params, pt)) for pt in points),
         "log-negativity": abs(fock.log_negativity_numeric(oracle) - log_negativity_closed(params)),
         "bell-combination": max(
             abs(bell_function(params, s).value - _chsh_from_wigner(lambda pt: fock.wigner_numeric(oracle, pt), s))
             for s in BELL_SETTINGS
         ),
     }
+
+
+def breached(deviations: dict[str, float]) -> list[str]:
+    """The checks whose deviation is not within its tolerance (NaN included), in ``TOLERANCES`` order."""
+    return [name for name, tol in TOLERANCES.items() if not deviations[name] <= tol]

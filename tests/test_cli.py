@@ -18,6 +18,7 @@ from asymsqueeze import (
     fidelity_difference,
     fidelity_squeezed_closed,
     log_negativity_closed,
+    verify,
 )
 from asymsqueeze.cli import main
 from asymsqueeze.teleport import _check_fidelity, _fidelity_values
@@ -370,6 +371,17 @@ class TestValidationAndExitCodes:
         assert 30 < larger <= 60
         assert run_cli(argv + ["--cutoff", str(larger)]) == 0
         assert capsys.readouterr().out.count("PASS") == 6
+
+    def test_verify_coarse_grid_by_default(self, capsys):
+        assert run_cli(["verify"]) == 0
+        assert capsys.readouterr().out.endswith("all 6 oracle checks passed for 2 parameter pair(s)\n")
+
+    def test_verify_breach_that_no_cutoff_mends(self, monkeypatch, capsys):
+        monkeypatch.setitem(verify.TOLERANCES, "covariance", 0.0)
+        assert run_cli(["verify", "--cutoff", "20", "--lambda", "0.3", "--gamma", "0.7"]) == 2
+        assert capsys.readouterr().err == (
+            "error: tolerance breached by: covariance at (0.3, 0.7), cutoff 20; no cutoff up to 40 passes\n"
+        )
 
     def test_io_failure(self):
         assert run_cli(["negativity", "--lambda", "0:1:3", "--gamma", "0",

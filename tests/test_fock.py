@@ -22,7 +22,7 @@ from asymsqueeze import (
     wigner_closed,
     wigner_numeric,
 )
-from asymsqueeze.fock import _displacement_matrix, _quadratures
+from asymsqueeze.fock import _displacements, _quadratures, destroy
 
 
 def dense_state(params, cutoff):
@@ -45,10 +45,23 @@ class TestOperators:
         comm = q @ p - p @ q
         assert np.allclose(comm[:8, :8], 1j * np.eye(8), atol=1e-12)
 
-    def test_displacement_unitary(self):
-        for alpha in (0.4 - 0.2j, 0.1 + 0.3j, 1.5j):
-            d = _displacement_matrix(alpha, 11)
-            assert np.max(np.abs(d @ d.conj().T - np.eye(11))) < 1e-12
+    @pytest.mark.parametrize("cutoff", [10, 20, 40, 80])
+    def test_displacements_match_dense_eigh(self, cutoff):
+        # exp(alpha a' - alpha* a) from an eigh of its own generator i(alpha a' - alpha* a)
+        a = destroy(cutoff + 1)
+
+        def dense(alpha):
+            w, u = np.linalg.eigh(1j * (alpha * a.T - np.conj(alpha) * a))
+            return u @ (np.exp(-1j * w)[:, None] * u.conj().T)
+
+        edge = cutoff / 4.0
+        alphas = [0.0, -edge, 1j * edge, 0.4 - 0.2j, edge * np.exp(2.3j), 0.7 * edge * np.exp(-1.1j)]
+        for alpha, beta in zip(alphas, alphas[::-1]):
+            d1, d2 = _displacements(cutoff, PhasePoint.from_complex(alpha, beta))
+            assert np.max(np.abs(d1 - dense(alpha))) < 1e-13
+            assert np.max(np.abs(d2 - dense(beta))) < 1e-13
+            for d in (d1, d2):
+                assert np.max(np.abs(d @ d.conj().T - np.eye(cutoff + 1))) < 1e-13
 
 
 class TestStateConstruction:

@@ -70,7 +70,8 @@ def test_closed_fidelities_in_unit_interval(lam, gamma, r):
 
 
 @settings(max_examples=25, deadline=None)
-@given(LAM, GAMMA, R, st.complex_numbers(max_magnitude=10.0))
+# complex_numbers(max_magnitude=10.0) can return |z| = 10 + 9e-16, which Coherent rightly rejects
+@given(LAM, GAMMA, R, st.complex_numbers(max_magnitude=10.0).filter(lambda z: abs(z) <= 10.0))
 @example(lam=4.75, gamma=0.0, r=3.0, amplitude=0j)
 def test_quadrature_matches_closed_fidelities(lam, gamma, r, amplitude):
     params = SqueezeParams(lam, gamma)
