@@ -11,13 +11,12 @@ the same combination from the closed-form Wigner function.  They agree to
 1e-12 everywhere, which is the structural check on the closed form's algebra.
 The four-Wigner assembly has one home, ``_chsh_from_wigner``, which takes any
 Wigner function; ``verify`` feeds it the Fock oracle's.  ``maximize_bell``
-seeds one pattern search over (J, theta, phi) from a fixed grid.
+takes the best setting in closed form: the maximal CHSH value is a function
+of the log-negativity alone.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
@@ -25,11 +24,6 @@ from .gaussian import PhasePoint
 from .state import SqueezeParams, coefficients, wigner_closed
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-_TWO_PI = 2.0 * math.pi
-# grid that seeds maximize_bell: angle steps over [0, 2 pi), J steps over (0, 2]
-_THETA_STEPS = 64
-_PHI_STEPS = 64
-_J_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -50,6 +44,9 @@ class BellSetting:
     def __post_init__(self):
         if not (math.isfinite(self.j) and self.j >= 0.0):
             raise ValidationError(f"displacement magnitude J must be >= 0, got {self.j}")
+        for name, angle in (("theta", self.theta), ("phi", self.phi)):
+            if not math.isfinite(angle):
+                raise ValidationError(f"{name} must be finite, got {angle}")
 
     @property
     def alpha(self):
@@ -67,7 +64,8 @@ class BellValue:
 
     @classmethod
     def of(cls, value):
-        return cls(value=float(value), violates=abs(value) > 2.0)
+        value = float(value)
+        return cls(value=value, violates=abs(value) > 2.0)
 
 
 def bell_function(params: SqueezeParams, setting: BellSetting) -> BellValue:
@@ -95,62 +93,26 @@ def _chsh_from_wigner(wigner, setting: BellSetting) -> float:
     return math.pi ** 2 * combo
 
 
-def _grid_best(c, j_values):
-    thetas = np.linspace(0.0, _TWO_PI, _THETA_STEPS, endpoint=False)
-    phis = np.linspace(0.0, _TWO_PI, _PHI_STEPS, endpoint=False)
-    jj, tt, pp = np.meshgrid(j_values, thetas, phis, indexing="ij", sparse=True)
-    vals = _kernels.bell_values(c.m1, c.m2, c.m3, jj, tt, pp)
-    kj, kt, kp = np.unravel_index(np.argmax(vals), vals.shape)
-    return float(j_values[kj]), float(thetas[kt]), float(phis[kp]), float(vals[kj, kt, kp])
+def maximize_bell(params: SqueezeParams):
+    """Largest CHSH value over (J, theta, phi), in closed form.
 
-
-def _refine(evaluate, x0, steps, lower, upper, tol=1e-10, step_floor=1e-8):
-    """Deterministic coordinate pattern search: probe +-h per coordinate, move
-    to the best improvement, halve all steps when nothing improves."""
-    x = list(x0)
-    best = evaluate(x)
-    steps = list(steps)
-    while max(steps) > step_floor:
-        improved = False
-        for i in range(len(x)):
-            for sign in (1.0, -1.0):
-                trial = list(x)
-                trial[i] = min(max(trial[i] + sign * steps[i], lower[i]), upper[i])
-                val = evaluate(trial)
-                if val > best + tol:
-                    x, best, improved = trial, val, True
-        if not improved:
-            steps = [h / 2.0 for h in steps]
-    return x, best
-
-
-def maximize_bell(params: SqueezeParams, j=None):
-    """Best CHSH value over the settings, deterministically.
-
-    A fixed grid (64 x 64 over the angles in [0, 2 pi), and 200 points over
-    J in (0, 2] when ``j`` is not given) seeds one coordinate pattern search
-    over (J, theta, phi), refined to 1e-10 in the CHSH value; a given ``j``
-    pins J (bounds [j, j], step 0).  Always returns the best setting found,
-    its angles wrapped into [0, 2 pi); absence of violation shows up as
-    ``violates=False``.  The search can stop short of the maximum, even for
-    lam <= 1.5, |gamma| <= 2: a Nelder-Mead search in (ln J, theta, phi)
-    seeded from its result gains up to 5.05e-5 at (0.05, +-2).
+    On the line theta = phi + pi/2 both single-displacement exponents equal
+    a = m1 cos^2 phi + m2 sin^2 phi and cos(theta + phi) = -sin 2 phi, so
+    B = 1 + 2 e^{-2Ja} - e^{-4Ja rho} with rho = 1 + m3 sin(2 phi) / a.
+    Over J its one maximum sits at J* = ln rho / (2a (2 rho - 1)), where
+    B = 1 + (2 - 1/rho) rho^{-1/(2 rho - 1)}; that grows with rho, which is
+    largest at phi = atan2(sqrt m1, sqrt m2).  There a = 2 m1 m2 / (m1 + m2)
+    and, by the purity identity m1 m2 - m3^2 = 1, rho = 1 + m3 / sqrt(m1 m2)
+    = 1 + tanh E_N.  So B_max depends on the log-negativity alone: 2 at
+    lam = 0 (J* = 0), rising to 1 + 1.5 * 2^{-1/3} = 2.19055 as E_N grows.
+    That no setting off this line does better is checked numerically, not
+    proven.  The value returned is ``bell_function`` at the returned setting.
     """
-    if j is not None and not (math.isfinite(j) and j >= 0.0):
-        raise ValidationError(f"fixed J must be >= 0, got {j}")
-    j_values = np.linspace(2.0 / _J_STEPS, 2.0, _J_STEPS) if j is None else np.array([j])
     c = coefficients(params)
-    j0, th0, ph0, _ = _grid_best(c, j_values)
-    if j is None:
-        dj, j_lower, j_upper = 2.0 / _J_STEPS, 1e-12, 2.0
-    else:
-        dj, j_lower, j_upper = 0.0, j0, j0
-    x, best = _refine(
-        lambda y: float(_kernels.bell_values(c.m1, c.m2, c.m3, y[0], y[1], y[2])),
-        [j0, th0, ph0],
-        [dj, _TWO_PI / _THETA_STEPS, _TWO_PI / _PHI_STEPS],
-        lower=[j_lower, -math.inf, -math.inf],
-        upper=[j_upper, math.inf, math.inf],
-    )
-    setting = BellSetting(j=x[0], theta=x[1] % _TWO_PI, phi=x[2] % _TWO_PI)
-    return setting, BellValue.of(best)
+    tanh_en = c.m3 / math.sqrt(c.m1 * c.m2)
+    a = 2.0 * c.m1 * c.m2 / (c.m1 + c.m2)
+    phi = math.atan2(math.sqrt(c.m1), math.sqrt(c.m2))
+    # ln rho as log1p(tanh E_N) keeps J* accurate where E_N is small
+    j = math.log1p(tanh_en) / (2.0 * a * (1.0 + 2.0 * tanh_en))
+    setting = BellSetting(j=j, theta=phi + math.pi / 2.0, phi=phi)
+    return setting, bell_function(params, setting)

@@ -1,9 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library code paths they check: symplectic
-spectra by a generic eigensolver, matrix exponentials by scaled Taylor series.
+spectra by a generic eigensolver, matrix exponentials by scaled Taylor series,
+the CHSH maximum from its closed form in 50-digit arithmetic.
 """
 
+import mpmath
 import numpy as np
 
 OMEGA = np.array(
@@ -54,3 +56,11 @@ def random_physical_cov(rng, mixed=True, scale=0.4):
         nus = np.array([0.5, 0.5])
     base = np.diag([nus[0], nus[0], nus[1], nus[1]])
     return s @ base @ s.T
+
+
+def chsh_maximum_50_digits(lam, gamma):
+    """B_max = 1 + (2 - 1/rho) rho^{-1/(2 rho - 1)} with rho = 1 + tanh E_N, as an mpf."""
+    with mpmath.workdps(50):
+        m3 = mpmath.cosh(mpmath.mpf(gamma)) * mpmath.sinh(2 * mpmath.mpf(lam))
+        rho = 1 + m3 / mpmath.sqrt(1 + m3 * m3)
+        return 1 + (2 - 1 / rho) * rho ** (-1 / (2 * rho - 1))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import chsh_maximum_50_digits
 from asymsqueeze import (
     BellSetting,
     BellValue,
@@ -13,11 +14,15 @@ from asymsqueeze import (
     bell_from_wigner,
     bell_function,
     build_state_exponential,
+    coefficients,
     maximize_bell,
     wigner_closed,
     wigner_numeric,
 )
+from asymsqueeze._kernels import bell_values
 from asymsqueeze.cli import main
+
+EPS = np.finfo(float).eps
 
 
 def reduced_opposite_phases(lam, gamma, j):
@@ -71,10 +76,23 @@ class TestSetting:
         with pytest.raises(ValidationError):
             BellSetting(j=-0.1, theta=0.0, phi=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("angle", ["theta", "phi"])
+    def test_rejects_non_finite_angle(self, angle, value):
+        angles = {"theta": 0.0, "phi": 0.0, angle: value}
+        with pytest.raises(ValidationError, match=f"^{angle} must be finite, got {value}$"):
+            BellSetting(j=0.1, **angles)
+
     def test_violation_flag(self):
         assert BellValue.of(2.1).violates
         assert not BellValue.of(2.0).violates
         assert BellValue.of(-2.3).violates
+
+    def test_violation_flag_is_a_bool(self):
+        p = SqueezeParams(1.0, 0.0)
+        s = BellSetting(j=0.01, theta=math.pi, phi=0.0)
+        for value in (bell_function(p, s), bell_from_wigner(p, s), maximize_bell(p)[1]):
+            assert type(value.violates) is bool
 
 
 class TestParityExpectation:
@@ -194,46 +212,55 @@ class TestAlgebraicIdentity:
             assert abs(bell_function(p, s).value) <= TSIRELSON_BOUND + 1e-9
 
 
+# the outer-envelope points where the earlier grid-seeded search fell short,
+# and the paper-region points where it was worst
+MAXIMUM_POINTS = [(3.0, 0.5), (3.0, -0.5), (0.75, 5.0), (0.75, -5.0), (2.5, 5.0), (2.0, -5.0),
+                  (5.0, 0.0), (0.05, 2.0), (0.05, -2.0), (0.314, 0.25), (0.314, -0.25)]
+
+
 class TestMaximize:
-    def test_small_squeeze_optimum_at_opposite_phases(self):
-        p = SqueezeParams(0.5, 1.0)
-        setting, value = maximize_bell(p, j=0.01)
-        reference = bell_function(p, BellSetting(j=0.01, theta=math.pi, phi=0.0)).value
-        assert value.value >= reference - 1e-9
-        # optimum sits at (phi, theta) = (0, pi) or its swap (pi, 0)
-        candidates = [(0.0, math.pi), (math.pi, 0.0)]
-        dist = min(
-            math.hypot((setting.phi - c_phi + math.pi) % (2 * math.pi) - math.pi,
-                       (setting.theta - c_theta + math.pi) % (2 * math.pi) - math.pi)
-            for c_phi, c_theta in candidates
-        )
-        assert dist < 0.05
+    @pytest.mark.parametrize("lam,gamma", MAXIMUM_POINTS)
+    def test_no_grid_setting_beats_the_maximum(self, lam, gamma):
+        # ln J in [-20, 1] covers the optimal J, which falls like e^{-2 lam} to 1e-5 at lam = 5
+        p = SqueezeParams(lam, gamma)
+        c = coefficients(p)
+        _, best = maximize_bell(p)
+        js = np.exp(np.linspace(-20.0, 1.0, 85))[:, None, None]
+        angles = np.linspace(0.0, 2 * math.pi, 90, endpoint=False)
+        grid = bell_values(c.m1, c.m2, c.m3, js, angles[None, :, None], angles[None, None, :])
+        assert grid.max() <= best.value + 1e-12
+        assert best.value == pytest.approx(float(chsh_maximum_50_digits(lam, gamma)), rel=0.0, abs=4 * EPS)
+
+    @pytest.mark.parametrize("lam,gamma", MAXIMUM_POINTS)
+    def test_local_maximum(self, lam, gamma):
+        p = SqueezeParams(lam, gamma)
+        setting, best = maximize_bell(p)
+        for h in (1e-2, 1e-4, 1e-6):
+            for sign in (1.0, -1.0):
+                step = sign * h
+                for trial in (
+                    BellSetting(j=setting.j * math.exp(step), theta=setting.theta, phi=setting.phi),
+                    BellSetting(j=setting.j, theta=setting.theta + step, phi=setting.phi),
+                    BellSetting(j=setting.j, theta=setting.theta, phi=setting.phi + step),
+                ):
+                    assert bell_function(p, trial).value <= best.value + 1e-13, (h, trial)
+
+    @pytest.mark.parametrize("gamma", [5.0, -5.0])
+    def test_banaszek_wodkiewicz_limit(self, gamma):
+        # E_N -> infinity: rho -> 2 and B_max -> 1 + 1.5 * 2^{-1/3}
+        _, best = maximize_bell(SqueezeParams(5.0, gamma))
+        assert best.value == pytest.approx(1.0 + 1.5 * 2.0 ** (-1.0 / 3.0), rel=0.0, abs=1e-12)
 
     def test_product_state_supremum(self):
-        setting, value = maximize_bell(SqueezeParams(0.0, 0.0))
-        assert value.value <= 2.0 + 1e-12
-        assert value.value >= 2.0 - 1e-6
-        assert not value.violates
-        assert setting.j <= 0.011  # walked toward the J -> 0 boundary
-
-    def test_refinement_beats_grid(self):
-        p = SqueezeParams(1.0, 2.0)
-        _, refined = maximize_bell(p, j=0.01)
-        thetas = np.linspace(0, 2 * math.pi, 64, endpoint=False)
-        grid_best = max(
-            bell_function(p, BellSetting(j=0.01, theta=th, phi=ph)).value
-            for th in thetas
-            for ph in thetas
-        )
-        assert refined.value >= grid_best - 1e-12
+        for gamma in (0.0, 3.0, -5.0):
+            setting, value = maximize_bell(SqueezeParams(0.0, gamma))
+            assert setting.j == 0.0
+            assert value.value == 2.0
+            assert value.violates is False
 
     def test_deterministic(self):
         p = SqueezeParams(0.7, 1.3)
-        s1, v1 = maximize_bell(p, j=0.02)
-        s2, v2 = maximize_bell(p, j=0.02)
+        s1, v1 = maximize_bell(p)
+        s2, v2 = maximize_bell(p)
         assert s1 == s2
         assert v1.value == v2.value
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            maximize_bell(SqueezeParams(0.5, 0.0), j=-1.0)

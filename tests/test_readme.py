@@ -4,7 +4,6 @@ its comments say."""
 
 import contextlib
 import io
-import math
 import re
 import shlex
 from pathlib import Path
@@ -66,6 +65,7 @@ def test_library_example_prints_its_comments():
     assert en == "1.3569444900743064"
     assert fidelity == "0.6758136121606705"
     assert bell == (
-        f"BellSetting(j=0.01, theta=0.0, phi={math.pi!r}) BellValue(value=2.0621976455117763, violates=True)"
+        "BellSetting(j=0.06111861120511939, theta=2.57814959219417, phi=1.0073532653992736)"
+        " BellValue(value=2.167098460980169, violates=True)"
     )
     assert abs(float(oracle_en) - log_negativity_closed(SqueezeParams(0.5, 1.0))) <= 1e-5
