@@ -93,10 +93,6 @@ def _parse_axis(name, text):
     return Axis(name, np.array([check(v)]), swept=False)
 
 
-def _fmt(value):
-    return f"{value:.17g}"
-
-
 def _write_output(path, fmt, quantity, source, axes, values):
     swept = [ax for ax in axes if ax.swept]
     fixed = {ax.name: float(ax.values[0]) for ax in axes if not ax.swept}
@@ -105,24 +101,26 @@ def _write_output(path, fmt, quantity, source, axes, values):
     names = list(columns)
     if fmt == "csv":
         meta_bits = [f"quantity={quantity}", f"source={source}", f"version={__version__}"]
-        meta_bits += [f"{k}={_fmt(v)}" for k, v in sorted(fixed.items())]
+        meta_bits += [f"{k}={v:.17g}" for k, v in sorted(fixed.items())]
         head, tail = "# " + " ".join(meta_bits) + "\n" + ",".join(names) + "\n", "\n"
-        label = lambda v: _fmt(v) if v == v else ""
+        cell, special = "%.17g", {"": np.isnan}
         key, field_sep, row_sep = "", ",", "\n"
     else:
         # the bytes of json.dumps({"grid": records, "meta": meta}, sort_keys=True, indent=1)
         meta = {"quantity": quantity, "source": source, "version": __version__, "fixed": fixed}
         head = '{\n "grid": [\n  {\n   '
         tail = "\n  }\n ],\n" + json.dumps({"meta": meta}, sort_keys=True, indent=1)[2:] + "\n"
-        label = lambda v: repr(v) if math.isfinite(v) else "null" if v != v else json.dumps(v)
+        cell, special = "%r", {"null": np.isnan, "Infinity": np.isposinf, "-Infinity": np.isneginf}
         key, field_sep, row_sep = '"{}": ', ",\n   ", "\n  },\n  {\n   "
         names.sort()
     # Each axis value and each grid value is formatted once, into the text of its
-    # field; broadcasting the fields over the open grid lays the rows out lambda slowest.
+    # field, by one format string; the values in ``special`` get their fixed text
+    # by mask instead.  Broadcasting the fields over the open grid lays the rows
+    # out lambda slowest.
     texts = {}
     for name in names:
         pre, post = key.format(name), field_sep if name != names[-1] else row_sep
-        texts[name] = np.array([pre + label(v) + post for v in columns[name].tolist()], dtype=object)
+        texts[name] = _cells(columns[name], pre + cell + post, {pre + t + post: test for t, test in special.items()})
     grid = dict(zip([ax.name for ax in swept], np.ix_(*[texts[ax.name] for ax in swept])))
     grid[quantity] = texts[quantity].reshape([ax.values.size for ax in swept] or [1])
     fields = np.broadcast_arrays(*[grid[name] for name in names])
@@ -133,6 +131,24 @@ def _write_output(path, fmt, quantity, source, axes, values):
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+
+
+def _cells(values, template, special):
+    """An object array of ``template % v`` for each value, or of the text whose mask function in
+    ``special`` (text -> function) holds for it; masked values are not formatted.
+
+    The plain values go through one ``%`` of the template repeated once per value, each
+    copy ended by a NUL (which no cell contains), and the result is split at the NULs.
+    """
+    cells = np.empty(values.size, dtype=object)
+    plain = np.ones(values.size, dtype=bool)
+    for text, test in special.items():
+        mask = test(values)
+        cells[mask] = text
+        plain &= ~mask
+    plain_values = tuple(values[plain].tolist())
+    cells[plain] = ((template + "\0") * len(plain_values) % plain_values).split("\0")[:-1]
+    return cells
 
 
 def _pair_sweep(args):

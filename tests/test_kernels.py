@@ -54,6 +54,31 @@ def test_bell_values_matches_mpmath(rng):
     assert worst <= 1e-13
 
 
+def test_bell_values_over_the_envelope(rng):
+    # Outside the paper region t3's exponent -2J(a + b) + 4J cos(theta + phi) m3 cancels
+    # terms of size 2J(m1 + m2), most of all near theta = -phi, so the kernel holds 1e-13
+    # only up to the rounding of that exponent: 8 eps J (m1 + m2 + 2|m3|) |t3|.
+    points = [(5.0, 0.0, 10.0, -0.4, 0.4)]  # off by 1.06e-10 there, with B = 0.0018
+    for k in range(600):
+        lam, j, phi = rng.uniform(0.0, 5.0), rng.uniform(0.0, 10.0), rng.uniform(0.0, 2 * np.pi)
+        gamma = rng.uniform(-5.0, 5.0) * (1.0 if k % 2 else 10.0 ** -rng.uniform(0.0, 4.0))
+        theta = rng.uniform(0.0, 2 * np.pi) if k % 3 == 0 else -phi + rng.uniform(-1.0, 1.0) * 10.0 ** -rng.uniform(0.0, 6.0)
+        points.append((lam, gamma, j, theta, phi))
+    worst, rounding_terms = 0.0, []
+    for lam, gamma, j, theta, phi in points:
+        c = coefficients(SqueezeParams(lam, gamma))
+        value = _kernels.bell_values(c.m1, c.m2, c.m3, j, theta, phi)
+        a = c.m1 * np.cos(phi) ** 2 + c.m2 * np.sin(phi) ** 2
+        b = c.m1 * np.sin(theta) ** 2 + c.m2 * np.cos(theta) ** 2
+        t3 = np.exp(-2.0 * j * (a + b) + 4.0 * j * np.cos(theta + phi) * c.m3)
+        rounding_terms.append(8 * EPS * j * (c.m1 + c.m2 + 2 * abs(c.m3)) * t3)
+        error = float(abs(mpmath.mpf(float(value)) - _bell_mp(lam, gamma, j, theta, phi)))
+        worst = max(worst, error / (1e-13 + rounding_terms[-1]))
+    assert worst <= 1.0
+    # the sample reaches the points where the plain 1e-13 does not hold
+    assert sum(term > 1e-12 for term in rounding_terms) >= 10
+
+
 def reference_teleport_integrand(xs, ys, m_mat, chi_in):
     """The integrand as the complex quadratic form v^T M v, summed over the 16 products m_pq v_p v_q."""
     eta = xs[:, None] + 1j * ys[None, :]

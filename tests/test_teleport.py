@@ -18,6 +18,7 @@ from asymsqueeze import (
     fidelity_difference,
     fidelity_quadrature,
     fidelity_squeezed_closed,
+    teleport,
 )
 
 
@@ -177,21 +178,21 @@ class TestClosedForms:
 class TestQuadrature:
     def test_classical_benchmark(self):
         f = fidelity_quadrature(Coherent(0.4 + 0.1j), SqueezeParams(0.0, 0.0))
-        assert f.value == pytest.approx(0.5, abs=1e-9)
+        assert f.value == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_coherent_closed_form(self):
         for lam in np.linspace(0.0, 1.5, 4):
             for gamma in np.linspace(-1.5, 1.5, 4):
                 p = SqueezeParams(float(lam), float(gamma))
                 quad = fidelity_quadrature(Coherent(0.5 - 0.2j), p).value
-                assert quad == pytest.approx(fidelity_coherent_closed(p).value, abs=1e-6)
+                assert quad == pytest.approx(fidelity_coherent_closed(p).value, abs=1e-12)
 
     @pytest.mark.parametrize("r", [-2.0, -0.5, 0.5, 1.0, 3.0])
     def test_matches_squeezed_closed_form(self, r):
         for lam, gamma in [(0.0, 0.0), (0.4, 0.9), (1.0, -1.2), (1.5, 0.3)]:
             p = SqueezeParams(lam, gamma)
             quad = fidelity_quadrature(SqueezedVacuum(r), p).value
-            assert quad == pytest.approx(fidelity_squeezed_closed(p, r).value, abs=1e-6)
+            assert quad == pytest.approx(fidelity_squeezed_closed(p, r).value, abs=1e-12)
 
     def test_amplitude_independence(self):
         p = SqueezeParams(0.8, 0.7)
@@ -199,7 +200,36 @@ class TestQuadrature:
             fidelity_quadrature(Coherent(b), p).value
             for b in (0j, 2.0 + 0.0j, -1.5 + 2.5j)
         ]
-        assert max(values) - min(values) < 1e-9
+        assert max(values) - min(values) < 1e-12
+
+    def test_node_count_gives_the_bits_of_181_nodes(self, rng, monkeypatch):
+        # the trapezoid sampling error 2 exp(-pi^2 (N-1)^2 / 144) is e^{-247} at N = 61,
+        # so the grid that was used before, 181 nodes, adds nothing but rounding
+        assert teleport._NODES % 2 == 1  # eta = 0 is a node
+        calls = []
+        for _ in range(100):
+            p = SqueezeParams(rng.uniform(0.0, 1.5), rng.uniform(-2.0, 2.0))
+            if rng.uniform() < 0.5:
+                state = Coherent(complex(*rng.uniform(-2.0, 2.0, 2)))
+            else:
+                state = SqueezedVacuum(rng.uniform(-3.0, 3.0))
+            calls.append((state, p, fidelity_quadrature(state, p).value))
+        monkeypatch.setattr(teleport, "_NODES", 181)
+        worst = max(abs(fidelity_quadrature(state, p).value - value) for state, p, value in calls)
+        assert worst <= 2e-14
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, math.exp(6.0)])
+    def test_trapezoid_weights_integrate_a_gaussian(self, c):
+        # the rule fidelity_quadrature applies per axis: N nodes over +-6/sqrt(c)
+        def relative_error(nodes):
+            radius = 6.0 / math.sqrt(c)
+            xs = np.linspace(-radius, radius, nodes)
+            exact = math.sqrt(math.pi / c)
+            return abs(teleport._trapezoid_weights(xs) @ np.exp(-c * xs * xs) - exact) / exact
+
+        assert relative_error(teleport._NODES) <= 4 * np.finfo(float).eps
+        # the bound predicts about 2e-12 at 21 nodes, so a too coarse grid shows
+        assert relative_error(21) > 1e-13
 
 
 class TestDifference:
