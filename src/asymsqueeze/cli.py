@@ -33,7 +33,7 @@ from .errors import CutoffTooSmallError, ValidationError, VerificationError
 from .gaussian import PhasePoint
 from .state import GAMMA_MAX, LAMBDA_MAX, SqueezeParams, coefficients_grid
 from . import _kernels
-from .teleport import _fidelity_values
+from .teleport import fidelity_values
 from .verify import TOLERANCES, breached, oracle_deviations
 
 _AXIS_BOUNDS = {
@@ -179,7 +179,7 @@ def _cmd_bell(args):
 
 def _cmd_fidelity(args):
     axes, coeffs = _pair_sweep(args)
-    vals = _fidelity_values(coeffs.f, args.r, args.difference)
+    vals = fidelity_values(coeffs.f, args.r, args.difference)
     quantity = "fidelity_difference" if args.difference else "fidelity"
     _write_output(args.output, args.format, quantity, "cf-overlap-closed-form", axes, vals)
     return 0

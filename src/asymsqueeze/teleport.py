@@ -32,7 +32,6 @@ from .state import SqueezeParams, coefficients, complex_form_matrix
 
 _AMPLITUDE_MAX = 10.0
 _SQUEEZE_MAX = 3.0
-_PROBE = 0.5
 _DECAY_FLOOR = 1e-3
 _NODES = 61  # odd, so eta = 0 is a node
 
@@ -108,48 +107,38 @@ def cf_input(state: InputState, eta):
 def fidelity_quadrature(state: InputState, params: SqueezeParams) -> Fidelity:
     """Fidelity by 2D quadrature of the CF overlap integrand.
 
-    The integrand |chi_in|^2 * chi_E is evaluated point by point on a
-    61 x 61 grid (``_NODES``, ``_kernels.teleport_integrand``), with chi_E's
-    exponent -v^T M v / 8 first reduced, once per call, to a real 2x2
-    quadratic form in (Re eta, Im eta).  It is a centered Gaussian; its per-axis
-    decay rate c is probed numerically (at |eta| = 0.5, halved while the
-    integrand underflows to 0 there) and each axis is scaled to radius
-    R = 6/sqrt(c), where the discarded tail is about erfc(6) ~ 2e-17 of the
-    integral.  On a Gaussian the trapezoid rule converges geometrically
-    (Trefethen & Weideman, SIAM Review 56, 385, 2014): with N nodes over
-    [-R, R] its sampling error on e^{-c x^2} is about
+    chi_E's exponent -v^T M v / 8 is reduced once per call to a real 2x2
+    quadratic form q in (Re eta, Im eta) (``_kernels.channel_form``), and the
+    integrand |chi_in|^2 * chi_E is evaluated point by point on a 61 x 61 grid
+    (``_NODES``, ``_kernels.teleport_integrand``).  It is a centered Gaussian,
+    and so is |chi_in|^2 alone, with no cross term; each axis decay rate c is
+    q's diagonal entry plus -2 ln|chi_in| at unit distance (eta = 1, eta = i),
+    which cannot underflow there (|chi_in|^2 >= e^{-e^6} for |r| <= 3).  Each
+    axis is scaled to radius R = 6/sqrt(c), where the discarded tail is about
+    erfc(6) ~ 2e-17 of the integral.  On a Gaussian the trapezoid rule
+    converges geometrically (Trefethen & Weideman, SIAM Review 56, 385, 2014):
+    with N nodes over [-R, R] its sampling error on e^{-c x^2} is about
     2 e^{-pi^2 (N-1)^2 / 144} of the integral, e^{-247} at N = 61, so the
     grid's only visible error is rounding.  A cross term x y does not change
     this, because at fixed y the x^2 coefficient is still c.  A decay rate
-    at or below ~0 means a non-normalizable integrand and raises
-    QuadratureDomainError (cannot happen inside the parameter envelopes).
-    Near gamma = 0 at large lam the entries of M, up to m1 + m2 + 2|m3|,
-    carry the small channel scalar f only to about eps (m1 + m2 + 2|m3|),
-    which bounds the agreement with the closed forms there.
+    below ``_DECAY_FLOOR`` (or NaN) means a non-normalizable integrand and
+    raises QuadratureDomainError (cannot happen inside the parameter
+    envelopes).  Near gamma = 0 at large lam the entries of M, up to
+    m1 + m2 + 2|m3|, carry the small channel scalar f only to about
+    eps (m1 + m2 + 2|m3|), which bounds the agreement with the closed forms there.
     """
-    m_mat = complex_form_matrix(params)
+    q = _kernels.channel_form(complex_form_matrix(params))
 
-    def integrand(xs, ys):
-        return _kernels.teleport_integrand(xs, ys, m_mat, lambda eta: cf_input(state, eta))
+    def chi_in(eta):
+        return cf_input(state, eta)
 
-    rates = []
-    for dx, dy in ((1.0, 0.0), (0.0, 1.0)):
-        radius, g = 2.0 * _PROBE, 0.0
-        while g == 0.0:  # a fast decay underflows at the probe: move it inwards
-            radius *= 0.5
-            g = float(integrand(np.array([dx * radius]), np.array([dy * radius]))[0, 0])
-        if not g < 1.0:
-            raise QuadratureDomainError(
-                f"integrand does not decay along ({dx * radius}, {dy * radius}); value {g}"
-            )
-        rates.append(-math.log(g) / radius ** 2)
-    if min(rates) < _DECAY_FLOOR:
+    rates = np.diag(q) - 2.0 * np.log(np.abs(chi_in(np.array([1.0, 1j]))))
+    if not min(rates) >= _DECAY_FLOOR:
         raise QuadratureDomainError(f"integrand decay rate {min(rates):.3e} too small")
 
-    radii = [6.0 / math.sqrt(c) for c in rates]
-    xs = np.linspace(-radii[0], radii[0], _NODES)
-    ys = np.linspace(-radii[1], radii[1], _NODES)
-    value = float(_trapezoid_weights(xs) @ integrand(xs, ys) @ _trapezoid_weights(ys)) / math.pi
+    xs, ys = (np.linspace(-6.0 / math.sqrt(c), 6.0 / math.sqrt(c), _NODES) for c in rates)
+    integrand = _kernels.teleport_integrand(xs, ys, q, chi_in)
+    value = float(_trapezoid_weights(xs) @ integrand @ _trapezoid_weights(ys)) / math.pi
     return Fidelity(value)
 
 
@@ -166,50 +155,42 @@ def _trapezoid_weights(nodes):
     return weights
 
 
-def _fidelity(f, r):
-    """The closed fidelity for channel scalar(s) f and input squeeze r.
+def fidelity_values(f, r=0.0, difference=False):
+    """The closed fidelity, or F(r) - F(0) with ``difference``, for channel scalar(s) f.
 
     The one home of both closed forms: 1/(1 - f), the coherent-input value, at
     r = 0, and 1/sqrt(f^2 - 2 f cosh(2r) + 1) otherwise.  The squeezed form at
-    r = 0 equals the coherent one only to rounding, so every F(0) comes from here.
-    """
-    if r == 0.0:
-        return 1.0 / (1.0 - f)
-    return 1.0 / np.sqrt(f * f - 2.0 * f * math.cosh(2.0 * r) + 1.0)
-
-
-def _fidelity_values(f, r, difference):
-    """The fidelity, or F(r) - F(0) with ``difference``, for channel scalar(s) f.
-
-    r is validated as ``SqueezedVacuum`` validates it, and every fidelity
-    taken is range-checked as ``Fidelity`` checks one.
+    r = 0 equals the coherent one only to rounding, so every F(0) comes from
+    the first.  f is a scalar or a grid; r is validated as ``SqueezedVacuum``
+    validates it, and every fidelity taken, F(r) first, is range-checked as
+    ``Fidelity`` checks one.
     """
     SqueezedVacuum(r)
-    value = _check_fidelity(_fidelity(f, r))
-    return value - _check_fidelity(_fidelity(f, 0.0)) if difference else value
+    value = _check_fidelity(1.0 / (1.0 - f) if r == 0.0 else 1.0 / np.sqrt(f * f - 2.0 * f * math.cosh(2.0 * r) + 1.0))
+    return value - fidelity_values(f) if difference else value
 
 
 def fidelity_coherent_closed(params: SqueezeParams) -> Fidelity:
-    """Closed-form fidelity 1/(1 - f) for any coherent input (``_fidelity`` at r = 0).
+    """Closed-form fidelity 1/(1 - f) for any coherent input (``fidelity_values`` at r = 0).
 
     Independence of the coherent amplitude is structural: the amplitude enters
     chi_in only through a phase, which |chi_in|^2 removes.
     """
-    return Fidelity(_fidelity(coefficients(params).f, 0.0))
+    return Fidelity(fidelity_values(coefficients(params).f))
 
 
 def fidelity_squeezed_closed(params: SqueezeParams, r: float) -> Fidelity:
     """Closed-form fidelity 1/sqrt(f^2 - 2 f cosh(2r) + 1) for a squeezed input.
 
-    At r = 0 this is the coherent-input value, bit for bit (``_fidelity``).
+    At r = 0 this is the coherent-input value, bit for bit (``fidelity_values``).
     """
-    return Fidelity(float(_fidelity_values(coefficients(params).f, r, difference=False)))
+    return Fidelity(float(fidelity_values(coefficients(params).f, r)))
 
 
 def fidelity_difference(params: SqueezeParams, r: float) -> float:
     """F(r) - F(0): how much harder a squeezed input is to teleport.
 
-    Both terms come from ``_fidelity``, so this is exactly
+    Both terms come from ``fidelity_values``, so this is exactly
     ``fidelity_squeezed_closed(params, r).value - fidelity_coherent_closed(params).value``.
     """
-    return float(_fidelity_values(coefficients(params).f, r, difference=True))
+    return float(fidelity_values(coefficients(params).f, r, difference=True))

@@ -58,9 +58,20 @@ def random_physical_cov(rng, mixed=True, scale=0.4):
     return s @ base @ s.T
 
 
+def coefficients_50_digits(lam, gamma):
+    """(m1, m2, m3, f) of the state as 50-digit mpf, from the hyperbolics of (lam, gamma) directly:
+    m1, m2 = cosh^2 lam + e^{+-2 gamma} sinh^2 lam, m3 = cosh gamma sinh 2 lam and
+    f = m3 - cosh^2 lam - cosh 2gamma sinh^2 lam.  Take functions of them at 50 digits too."""
+    with mpmath.workdps(50):
+        lam, gamma = mpmath.mpf(float(lam)), mpmath.mpf(float(gamma))
+        c2, s2 = mpmath.cosh(lam) ** 2, mpmath.sinh(lam) ** 2
+        m3 = mpmath.cosh(gamma) * mpmath.sinh(2 * lam)
+        return c2 + mpmath.exp(2 * gamma) * s2, c2 + mpmath.exp(-2 * gamma) * s2, m3, m3 - c2 - mpmath.cosh(2 * gamma) * s2
+
+
 def chsh_maximum_50_digits(lam, gamma):
     """B_max = 1 + (2 - 1/rho) rho^{-1/(2 rho - 1)} with rho = 1 + tanh E_N, as an mpf."""
     with mpmath.workdps(50):
-        m3 = mpmath.cosh(mpmath.mpf(gamma)) * mpmath.sinh(2 * mpmath.mpf(lam))
+        m3 = coefficients_50_digits(lam, gamma)[2]
         rho = 1 + m3 / mpmath.sqrt(1 + m3 * m3)
         return 1 + (2 - 1 / rho) * rho ** (-1 / (2 * rho - 1))

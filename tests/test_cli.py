@@ -21,7 +21,7 @@ from asymsqueeze import (
     verify,
 )
 from asymsqueeze.cli import main
-from asymsqueeze.teleport import _check_fidelity, _fidelity_values
+from asymsqueeze.teleport import _check_fidelity, fidelity_values
 
 
 def run_cli(args):
@@ -289,11 +289,11 @@ class TestGridRoute:
             with pytest.raises(ValidationError, match="outside"):
                 _check_fidelity(values)
         with pytest.raises(ValidationError, match="fidelity 2.0 outside"):
-            _fidelity_values(np.array([[-0.5, 0.5]]), 0.0, False)
+            fidelity_values(np.array([[-0.5, 0.5]]), 0.0, False)
         # 0 < f < e^{-2|r|} gives F(r) > 1
         for r, difference in ((1.0, False), (0.0, True), (1.0, True)):
             with pytest.raises(ValidationError, match="outside"):
-                _fidelity_values(np.array([[-0.5], [0.1]]), r, difference)
+                fidelity_values(np.array([[-0.5], [0.1]]), r, difference)
 
 
 class TestDeterminism:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import chsh_maximum_50_digits
+from _oracles import chsh_maximum_50_digits, coefficients_50_digits
 from asymsqueeze import (
     SqueezeParams,
     enhanced_squeezing,
@@ -30,15 +30,13 @@ EPS = np.finfo(float).eps
 def exact_log_negativity_gain(lam, gamma):
     """E_N(lam, gamma) - E_N(lam, 0) = asinh(cosh gamma sinh 2 lam) - 2 lam, to 50 digits."""
     with mpmath.workdps(50):
-        lam, gamma = mpmath.mpf(lam), mpmath.mpf(gamma)
-        return mpmath.asinh(mpmath.cosh(gamma) * mpmath.sinh(2 * lam)) - 2 * lam
+        return mpmath.asinh(coefficients_50_digits(lam, gamma)[2]) - 2 * mpmath.mpf(lam)
 
 
 def exact_fidelity(lam, gamma, r):
     """Closed fidelity from the 50-digit channel scalar f = m3 - cosh^2 lam - cosh 2gamma sinh^2 lam."""
     with mpmath.workdps(50):
-        lam, gamma = mpmath.mpf(lam), mpmath.mpf(gamma)
-        f = mpmath.cosh(gamma) * mpmath.sinh(2 * lam) - mpmath.cosh(lam) ** 2 - mpmath.cosh(2 * gamma) * mpmath.sinh(lam) ** 2
+        f = coefficients_50_digits(lam, gamma)[3]
         if r is None:
             return 1 / (1 - f)
         return 1 / mpmath.sqrt(f * f - 2 * f * mpmath.cosh(2 * mpmath.mpf(r)) + 1)

@@ -1,31 +1,41 @@
 """Closed forms against 50-digit mpmath, and quadrature against closed forms,
 over the whole accepted envelope lambda in [0, 5], |gamma| <= 5."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
+from _oracles import coefficients_50_digits
 from asymsqueeze import (
     Coherent,
+    PhasePoint,
     QuadratureDomainError,
     SqueezedVacuum,
     SqueezeParams,
+    cf_closed,
     cf_input,
     coefficients,
     fidelity_coherent_closed,
     fidelity_quadrature,
     fidelity_squeezed_closed,
+    heisenberg_transform,
     log_negativity_closed,
     variances,
+    wigner_closed,
 )
 from asymsqueeze.cli import main
 
+EPS = np.finfo(float).eps
 LAMS = np.linspace(0.0, 5.0, 21)
 GAMMAS = np.linspace(-5.0, 5.0, 21)
 
-# Outer-envelope points where a fixed decay probe at |eta| = 0.5 underflowed
-# and the quadrature raised QuadratureDomainError (lambda, gamma, r; r = 0
-# means a coherent input).
+# Outer-envelope points with the narrowest integrands (lambda, gamma, r; r = 0
+# means a coherent input): decay rates of 4.4e3 to 1.9e4, so the integrand
+# underflows to 0 already at |eta| = 0.5 and each axis spans only 6/sqrt(c) ~ 0.05.
+# They hold the quadrature to reading its rates from q and chi_in, not from
+# integrand values, and to the closed forms on its smallest grids.
 OUTER_QUADRATURE = (
     (0.6, -5.0, 0.0),
     (1.0, -4.5, 1.0),
@@ -46,13 +56,11 @@ COARSE_QUADRATURE = tuple(
 
 def exact_log_negativity(lam, gamma):
     with mpmath.workdps(50):
-        return float(mpmath.asinh(mpmath.cosh(mpmath.mpf(gamma)) * mpmath.sinh(2 * mpmath.mpf(lam))))
+        return float(mpmath.asinh(coefficients_50_digits(lam, gamma)[2]))
 
 
 def exact_f(lam, gamma):
-    with mpmath.workdps(50):
-        lam, gamma = mpmath.mpf(lam), mpmath.mpf(gamma)
-        return float(mpmath.cosh(gamma) * mpmath.sinh(2 * lam) - mpmath.cosh(lam) ** 2 - mpmath.cosh(2 * gamma) * mpmath.sinh(lam) ** 2)
+    return float(coefficients_50_digits(lam, gamma)[3])
 
 
 def exact_variances(lam, gamma):
@@ -101,6 +109,64 @@ def test_variances_over_the_envelope():
             values = variances(SqueezeParams(lam, gamma))
             for value, exact in zip(values, exact_variances(lam, gamma)):
                 assert abs(value - exact) <= 2e-15 * exact, (lam, gamma, value, exact)
+
+
+def exponent_50_digits(lam, gamma, x):
+    """Q(x) = m1 (q1^2 + p2^2) + m2 (p1^2 + q2^2) - 2 m3 (q1 q2 - p1 p2) at 50 digits, so that
+    W(x) = exp(-Q(x))/pi^2 and, since sigma^{-1} = 4 Omega sigma Omega^T for a pure state,
+    CF(x) = exp(-Q(x)/4) at the point with alpha = (q1 + i p1)/sqrt(2), beta = (q2 + i p2)/sqrt(2)."""
+    with mpmath.workdps(50):
+        m1, m2, m3, _ = coefficients_50_digits(lam, gamma)
+        q1, p1, q2, p2 = (mpmath.mpf(float(v)) for v in x)
+        return m1 * (q1 * q1 + p2 * p2) + m2 * (p1 * p1 + q2 * q2) - 2 * m3 * (q1 * q2 - p1 * p2)
+
+
+def state_scale_points(rng, count=600):
+    """(params, x) over the box with x = S z on the state's own scale (S = ``heisenberg_transform``),
+    z standard normal or uniform in [-3, 3]^4: W(x) = exp(-|z|^2)/pi^2 stays far from underflow
+    while the terms of its exponent grow like e^{4 lam}."""
+    for k in range(count):
+        params = SqueezeParams(rng.uniform(0.0, 5.0), rng.uniform(-5.0, 5.0))
+        z = rng.normal(size=4) if k % 2 else rng.uniform(-3.0, 3.0, 4)
+        yield params, heisenberg_transform(params) @ z
+
+
+def test_wigner_closed_over_the_envelope(rng):
+    # wigner_closed sums the terms of Q(x), of total size
+    # Sigma = m1 (q1^2 + p2^2) + m2 (p1^2 + q2^2) + 2 m3 |q1 q2 - p1 p2|,
+    # so it holds W (8 eps Sigma + 4 eps), the rounding of that sum and of exp and 1/pi^2
+    worst, rounding_terms = 0.0, []
+    for params, x in state_scale_points(rng):
+        c = coefficients(params)
+        q1, p1, q2, p2 = x
+        sigma = c.m1 * (q1 * q1 + p2 * p2) + c.m2 * (p1 * p1 + q2 * q2) + 2.0 * c.m3 * abs(q1 * q2 - p1 * p2)
+        with mpmath.workdps(50):
+            exact = mpmath.exp(-exponent_50_digits(params.lam, params.gamma, x)) / mpmath.pi ** 2
+            error = abs(wigner_closed(params, PhasePoint(*x)) - exact)
+            worst = max(worst, float(error / (exact * (8 * EPS * sigma + 4 * EPS))))
+        rounding_terms.append(8 * EPS * sigma)
+    assert worst <= 1.0
+    # the sample reaches the points where W holds far less than double precision
+    assert sum(term > 1e-9 for term in rounding_terms) >= 100
+
+
+def test_cf_closed_over_the_envelope(rng):
+    # cf_closed sums v^T M v / 8 over M's entries m1 -+ m2 and 2 m3, whose terms have total size
+    # Sigma_M / 4 with Sigma_M = max(m1, m2) |x|^2 + 2 m3 |(q1, p1)| |(q2, p2)|: the m1 - m2 and
+    # m1 + m2 terms cancel, so Sigma_M exceeds Q's own term size Sigma, and the CF holds
+    # CF (8 eps Sigma_M / 4 + 4 eps)
+    worst, rounding_terms = 0.0, []
+    for params, x in state_scale_points(rng):
+        x = 2.0 * x  # CF(2x) = exp(-|z|^2), the CF's own scale
+        c = coefficients(params)
+        sigma_m = max(c.m1, c.m2) * float(x @ x) + 2.0 * c.m3 * math.hypot(x[0], x[1]) * math.hypot(x[2], x[3])
+        with mpmath.workdps(50):
+            exact = mpmath.exp(-exponent_50_digits(params.lam, params.gamma, x) / 4)
+            error = abs(cf_closed(params, PhasePoint(*x)) - exact)
+            worst = max(worst, float(error / (exact * (2 * EPS * sigma_m + 4 * EPS))))
+        rounding_terms.append(2 * EPS * sigma_m)
+    assert worst <= 1.0
+    assert sum(term > 1e-9 for term in rounding_terms) >= 100
 
 
 @pytest.mark.parametrize(

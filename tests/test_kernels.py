@@ -2,7 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from asymsqueeze import Coherent, SqueezedVacuum, SqueezeParams, cf_input, coefficients, complex_form_matrix
+from _oracles import coefficients_50_digits
+from asymsqueeze import Coherent, SqueezedVacuum, SqueezeParams, cf_input, coefficients, complex_form_matrix, fidelity_quadrature
 from asymsqueeze import _kernels
 
 EPS = np.finfo(float).eps
@@ -10,26 +11,16 @@ INPUTS = {"coherent": Coherent(0.7 - 1.2j), "squeezed": SqueezedVacuum(-1.5)}
 
 
 def _bell_mp(lam, gamma, j, theta, phi):
-    """CHSH combination at 50 digits, in the four-exponential form written in
-    (lam, gamma) directly, so that it shares no arithmetic with the kernel."""
+    """CHSH combination at 50 digits from the 50-digit m1, m2, m3, so that it
+    shares no rounding with the kernel (``test_bell.TestAlgebraicIdentity``
+    checks the formula itself against the Wigner combination)."""
     with mpmath.workdps(50):
-        lam, gamma, j, theta, phi = (mpmath.mpf(float(v)) for v in (lam, gamma, j, theta, phi))
-        c2 = mpmath.cosh(lam) ** 2
-        s2 = mpmath.sinh(lam) ** 2
-        e2g = mpmath.exp(2 * gamma)
-        em2g = mpmath.exp(-2 * gamma)
-        m3 = mpmath.cosh(gamma) * mpmath.sinh(2 * lam)
-        cp, sp = mpmath.cos(phi) ** 2, mpmath.sin(phi) ** 2
-        ct, st = mpmath.cos(theta) ** 2, mpmath.sin(theta) ** 2
-        t1 = mpmath.exp(-2 * j * c2 - 2 * j * (e2g * cp + em2g * sp) * s2)
-        t2 = mpmath.exp(-2 * j * c2 - 2 * j * (e2g * st + em2g * ct) * s2)
-        t3 = mpmath.exp(
-            -4 * j * c2
-            - 2 * j * (cp + st) * e2g * s2
-            - 2 * j * (sp + ct) * em2g * s2
-            + 4 * j * mpmath.cos(theta + phi) * m3
-        )
-        return 1 + t1 + t2 - t3
+        m1, m2, m3 = coefficients_50_digits(lam, gamma)[:3]
+        j, theta, phi = (mpmath.mpf(float(v)) for v in (j, theta, phi))
+        a = m1 * mpmath.cos(phi) ** 2 + m2 * mpmath.sin(phi) ** 2
+        b = m1 * mpmath.sin(theta) ** 2 + m2 * mpmath.cos(theta) ** 2
+        t3 = mpmath.exp(-2 * j * (a + b) + 4 * j * mpmath.cos(theta + phi) * m3)
+        return 1 + mpmath.exp(-2 * j * a) + mpmath.exp(-2 * j * b) - t3
 
 
 def test_bell_values_broadcasting():
@@ -100,7 +91,7 @@ def assert_matches_reference(m_mat, state):
     xs = np.linspace(-radius, radius, 41)
     ys = np.linspace(-radius, 0.8 * radius, 37)
     chi_in = lambda eta: cf_input(state, eta)
-    new = _kernels.teleport_integrand(xs, ys, m_mat, chi_in)
+    new = _kernels.teleport_integrand(xs, ys, _kernels.channel_form(m_mat), chi_in)
     old = reference_teleport_integrand(xs, ys, m_mat, chi_in)
     assert new.shape == old.shape == (41, 37)
     assert np.all(new > 0.0) and np.all(old > 0.0)
@@ -116,6 +107,31 @@ def assert_matches_reference(m_mat, state):
 @pytest.mark.parametrize("gamma", [-5.0, -1.0, 0.0, 2.0, 5.0])
 def test_teleport_integrand_matches_reference_on_channel_matrices(lam, gamma, kind):
     assert_matches_reference(complex_form_matrix(SqueezeParams(lam, gamma)), INPUTS[kind])
+
+
+def test_channel_form_of_the_channel_matrix_is_f_times_the_identity():
+    # chi_E(-eta*, -eta) = exp(f |eta|^2), so q = -f I; the reduction cancels
+    # entries of size up to m1 + m2 + 2|m3|, and holds f to that rounding
+    worst = 0.0
+    for lam in np.linspace(0.0, 5.0, 21):
+        for gamma in np.linspace(-5.0, 5.0, 21):
+            params = SqueezeParams(lam, gamma)
+            c = coefficients(params)
+            q = _kernels.channel_form(complex_form_matrix(params))
+            scale = EPS * (c.m1 + c.m2 + 2.0 * abs(c.m3))
+            deviations = (abs(q[0, 0] + c.f), abs(q[1, 1] + c.f), abs(q[0, 1] + q[1, 0]))
+            worst = max(worst, max(deviations) / scale)
+    assert worst <= 4.0
+
+
+def test_quadrature_evaluates_the_integrand_once(monkeypatch):
+    calls = []
+    integrand = _kernels.teleport_integrand
+    monkeypatch.setattr(_kernels, "teleport_integrand", lambda *args: calls.append(args[2]) or integrand(*args))
+    for state in INPUTS.values():
+        fidelity_quadrature(state, SqueezeParams(0.5, 1.0))
+    assert len(calls) == len(INPUTS)
+    assert all(q.shape == (2, 2) for q in calls)
 
 
 def form_of_reference(m_mat):
