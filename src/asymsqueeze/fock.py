@@ -1,10 +1,12 @@
 """Brute-force verification layer in a truncated two-mode Fock space.
 
 Everything here is deliberately independent of the closed forms in
-``state``/``gaussian``: the state is built by exponentiating the truncated
-generator, and covariance, Wigner, characteristic function and logarithmic
-negativity are recomputed from raw operator algebra.  Agreement between the
-two routes is what certifies the closed forms.
+``state``/``gaussian``: the state is built by the Chebyshev expansion of
+exp(-i G) over the norm bound R of the truncated generator G (Tal-Ezer &
+Kosloff, J. Chem. Phys. 81, 3967, 1984; about R + 6 R^(1/3) applications of
+G, good to a few 1e-15 per amplitude), and covariance, Wigner, characteristic
+function and logarithmic negativity are recomputed from raw operator algebra.
+Agreement between the two routes is what certifies the closed forms.
 
 Wigner and characteristic function use the truncated displacements
 D(alpha) = exp(alpha a' - alpha* a), unitary on the retained subspace.  As
@@ -20,7 +22,6 @@ parameter points rather than inside a single evaluation.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -37,7 +38,6 @@ if TYPE_CHECKING:
 _DEFICIT_LIMIT = 1e-6
 _ORACLE_DEFICIT = 1e-8
 _EPS = np.finfo(float).eps
-_STEP_NORM = 4.0  # bound on ||G|| / steps for one Taylor factor
 
 
 def destroy(dim: int) -> np.ndarray:
@@ -62,6 +62,14 @@ def _generator_eigh(dim):
     w, u = np.linalg.eigh(1j * (a.T - a))
     w.flags.writeable = u.flags.writeable = False
     return w, u
+
+
+@functools.cache
+def _parity(dim):
+    """The read-only (-1)^(m + n) over the two-mode amplitude matrix."""
+    signs = (-1.0) ** np.add.outer(np.arange(dim), np.arange(dim))
+    signs.flags.writeable = False
+    return signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,21 +114,40 @@ class FockState2:
         return float(abs(np.sum(np.conj(self.amplitudes) * other.amplitudes)))
 
 
+def _chebyshev_weights(bound):
+    """J_0(R), 2 J_1(R), 2 J_2(R), ... up to the first k > R with |J_k(R)| < eps.
+
+    Miller's backward recurrence from far past that k, normalized by
+    J_0 + 2 sum J_2k = 1.  Below R = 2 eps that k is 1 and J_0 = 1 - R^2/4
+    rounds to 1, which also spares 2k/R its overflow.
+    """
+    if bound < 2.0 * _EPS:
+        return [1.0]
+    top = int(bound + 16.0 * bound ** (1.0 / 3.0)) + 12
+    p = [0.0, 1.0]
+    for k in range(top, 0, -1):
+        p.append(2.0 * k / bound * p[-1] - p[-2])
+    p = p[:0:-1]
+    norm = p[0] + 2.0 * math.fsum(p[2::2])
+    stop = next(k for k in range(math.floor(bound) + 1, top) if abs(p[k]) < _EPS * abs(norm))
+    return [p[0] / norm] + [2.0 * v / norm for v in p[1:stop]]
+
+
 def build_state_exponential(params: SqueezeParams, cutoff: int) -> FockState2:
     """Apply exp(-i G) to |00> with G = lam1 Q1 P2 + lam2 Q2 P1 truncated.
 
-    The exponential acts on the amplitude matrix by a scaled Taylor series
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011): ``steps`` factors
-    exp(-i G / steps), where (|lam1| + |lam2|) ||q||^2 >= ||G|| (p is
-    unitarily similar to q, so ||p|| = ||q||) and steps is that bound over
-    _STEP_NORM, rounded up.  A factor's Taylor terms then stay below
-    4^4/4! ~ 11 in norm, so cancellation costs at most about one digit per
-    factor, and there are a quarter as many factors as ||G / steps|| <= 1
-    would need.  A factor's series stops once a term falls below machine
-    precision relative to its sum.  The result agrees with a dense
-    eigen-decomposition of the joint-space generator to a few 1e-15 per
-    amplitude and keeps the norm to a few 1e-15, so truncation failure is
-    detected through the edge-shell mass instead of the norm deficit.
+    The exponential acts on the amplitude matrix by its Chebyshev expansion
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984)
+    exp(-i G) = J_0(R) + 2 sum_k (-i)^k J_k(R) T_k(G/R), with the bound
+    R = (|lam1| + |lam2|) ||q||^2 >= ||G|| (p is unitarily similar to q, so
+    ||p|| = ||q||).  The terms phi_k = (-i)^k T_k(G/R)|00> are real, of norm
+    at most 1, and follow phi_{k+1} = (2/R)(-i G) phi_k + phi_{k-1}, so none
+    of them cancel.  The series stops at the first k > R with |J_k(R)| < eps:
+    about R + 6 R^(1/3) applications of G (154 for R = 104 at (0.5, 1.0),
+    cutoff 40), against about 3 R for a scaled Taylor series.  The result
+    agrees with a dense eigen-decomposition of the joint-space generator to a
+    few 1e-15 per amplitude and keeps the norm to a few 1e-15, so truncation
+    failure is detected through the edge-shell mass instead of the norm deficit.
     """
     if cutoff < 10:
         raise ValidationError(f"exponential construction needs cutoff >= 10, got {cutoff}")
@@ -130,22 +157,22 @@ def build_state_exponential(params: SqueezeParams, cutoff: int) -> FockState2:
     # -i G C = -i (lam1 q C p^T + lam2 p C q^T) = lam1 q C p' - lam2 p' C q is real.
     p_real = (1j * p).real
     lam1, lam2 = params.lam1, params.lam2
-    bound = (abs(lam1) + abs(lam2)) * np.linalg.norm(q, 2) ** 2
-    steps = max(1, math.ceil(bound / _STEP_NORM))
-    # -i G C / steps = [lam1 q | -lam2 p'] / steps @ [[C p'], [C q]], and
+    # the spectrum of i(a' - a) = sqrt(2) p is symmetric, so its top eigenvalue is sqrt(2) ||q||
+    bound = (abs(lam1) + abs(lam2)) * _generator_eigh(d)[0][-1] ** 2 / 2.0
+    weights = _chebyshev_weights(bound)
+    # (2/R)(-i G) C = [lam1 q | -lam2 p'] (2/R) @ [[C p'], [C q]], and
     # C @ stack([p', q]) is that right factor, stacked along its first axis.
-    left = np.hstack([(lam1 / steps) * q, (-lam2 / steps) * p_real])
+    scale = 2.0 / bound if len(weights) > 1 else 0.0
+    left = np.hstack([(scale * lam1) * q, (-scale * lam2) * p_real])
     right = np.stack([p_real, q])
-    c = np.zeros((d, d))
-    c[0, 0] = 1.0
-    for _ in range(steps):
-        term = c
-        for k in itertools.count(1):
-            term = left @ (term @ right).reshape(2 * d, d)
-            term /= k
-            c += term
-            if np.vdot(term, term) <= _EPS ** 2 * np.vdot(c, c):
-                break
+    prev, cur = np.zeros((d, d)), np.zeros((d, d))
+    cur[0, 0] = 1.0
+    c = weights[0] * cur
+    for k, weight in enumerate(weights[1:]):
+        step = left @ (cur @ right).reshape(2 * d, d)
+        prev += step if k else 0.5 * step  # phi_1 = (1/R)(-i G) phi_0, as prev starts at 0
+        prev, cur = cur, prev
+        c += weight * cur
     state = FockState2.from_amplitudes(c)
     damage, measure = max((state.norm_deficit, "norm deficit"), (state.edge_mass(), "edge mass"))
     if damage > _DEFICIT_LIMIT:
@@ -203,9 +230,7 @@ def wigner_numeric(state: FockState2, point: PhasePoint) -> float:
     d1, d2 = _displacements(state.cutoff, point)
     # |phi> = D1^dag D2^dag |psi>
     phi = d1.conj().T @ state.amplitudes @ d2.conj()
-    d = state.cutoff + 1
-    signs = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
-    return float(np.sum(signs * np.abs(phi) ** 2)) / math.pi ** 2
+    return float(np.sum(_parity(state.cutoff + 1) * np.abs(phi) ** 2)) / math.pi ** 2
 
 
 def cf_numeric(state: FockState2, point: PhasePoint) -> complex:

@@ -185,6 +185,16 @@ def covariance(params: SqueezeParams) -> CovarianceMatrix:
     return CovarianceMatrix(sig)
 
 
+def _wigner_exponent(params, point):
+    """-m1 (q1^2 + p2^2) - m2 (p1^2 + q2^2) + 2 m3 (q1 q2 - p1 p2), the exponent of pi^2 W."""
+    c = coefficients(params)
+    return (
+        -c.m1 * (point.q1 ** 2 + point.p2 ** 2)
+        - c.m2 * (point.p1 ** 2 + point.q2 ** 2)
+        + 2.0 * (point.q1 * point.q2 - point.p1 * point.p2) * c.m3
+    )
+
+
 def wigner_closed(params: SqueezeParams, point: PhasePoint) -> float:
     """Closed-form Wigner density at a phase-space point.
 
@@ -192,13 +202,7 @@ def wigner_closed(params: SqueezeParams, point: PhasePoint) -> float:
                       + 2 m3 (q1 q2 - p1 p2)]
     Agrees with the generic Gaussian form driven by ``covariance`` to 1e-12.
     """
-    c = coefficients(params)
-    expo = (
-        -c.m1 * (point.q1 ** 2 + point.p2 ** 2)
-        - c.m2 * (point.p1 ** 2 + point.q2 ** 2)
-        + 2.0 * (point.q1 * point.q2 - point.p1 * point.p2) * c.m3
-    )
-    return math.exp(expo) / math.pi ** 2
+    return math.exp(_wigner_exponent(params, point)) / math.pi ** 2
 
 
 def log_negativity_closed(params: SqueezeParams) -> float:
@@ -236,14 +240,13 @@ def complex_form_matrix(params: SqueezeParams) -> np.ndarray:
 
 
 def cf_closed(params: SqueezeParams, point: PhasePoint) -> float:
-    """Closed-form symmetric-order characteristic function exp[-v^T M v / 8].
+    """Closed-form symmetric-order characteristic function exp(-Q/4), pi^2 W = exp(-Q).
 
-    Evaluated through the complex-basis matrix M, deliberately a different
-    arithmetic route than ``cf_of_covariance``; the two agree to 1e-12.
+    A pure state has sigma^{-1} = 4 Omega sigma Omega^T, so the CF's kernel
+    Omega^T sigma Omega is sigma^{-1}/4.  Q's own terms, of size Sigma, hold the
+    CF to CF (2 eps Sigma + 4 eps); it agrees with ``cf_of_covariance`` to 1e-12.
     """
-    v = np.array([np.conj(point.alpha), point.alpha, np.conj(point.beta), point.beta])
-    quad = v @ complex_form_matrix(params) @ v
-    return math.exp(-quad.real / 8.0)
+    return math.exp(_wigner_exponent(params, point) / 4.0)
 
 
 def variances(params: SqueezeParams) -> tuple[float, float]:

@@ -151,20 +151,19 @@ def test_wigner_closed_over_the_envelope(rng):
 
 
 def test_cf_closed_over_the_envelope(rng):
-    # cf_closed sums v^T M v / 8 over M's entries m1 -+ m2 and 2 m3, whose terms have total size
-    # Sigma_M / 4 with Sigma_M = max(m1, m2) |x|^2 + 2 m3 |(q1, p1)| |(q2, p2)|: the m1 - m2 and
-    # m1 + m2 terms cancel, so Sigma_M exceeds Q's own term size Sigma, and the CF holds
-    # CF (8 eps Sigma_M / 4 + 4 eps)
+    # cf_closed sums Q's own terms at the CF's point, of total size Sigma as in the Wigner test,
+    # and divides by 4, so it holds CF (8 eps Sigma / 4 + 4 eps)
     worst, rounding_terms = 0.0, []
     for params, x in state_scale_points(rng):
         x = 2.0 * x  # CF(2x) = exp(-|z|^2), the CF's own scale
         c = coefficients(params)
-        sigma_m = max(c.m1, c.m2) * float(x @ x) + 2.0 * c.m3 * math.hypot(x[0], x[1]) * math.hypot(x[2], x[3])
+        q1, p1, q2, p2 = x
+        sigma = c.m1 * (q1 * q1 + p2 * p2) + c.m2 * (p1 * p1 + q2 * q2) + 2.0 * c.m3 * abs(q1 * q2 - p1 * p2)
         with mpmath.workdps(50):
             exact = mpmath.exp(-exponent_50_digits(params.lam, params.gamma, x) / 4)
             error = abs(cf_closed(params, PhasePoint(*x)) - exact)
-            worst = max(worst, float(error / (exact * (2 * EPS * sigma_m + 4 * EPS))))
-        rounding_terms.append(2 * EPS * sigma_m)
+            worst = max(worst, float(error / (exact * (2 * EPS * sigma + 4 * EPS))))
+        rounding_terms.append(2 * EPS * sigma)
     assert worst <= 1.0
     assert sum(term > 1e-9 for term in rounding_terms) >= 100
 

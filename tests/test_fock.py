@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +23,7 @@ from asymsqueeze import (
     wigner_closed,
     wigner_numeric,
 )
-from asymsqueeze.fock import _displacements, _quadratures, destroy
+from asymsqueeze.fock import _chebyshev_weights, _displacements, _quadratures, destroy
 
 
 def dense_state(params, cutoff):
@@ -117,18 +118,64 @@ class TestStateConstruction:
             assert exp_state.overlap(series) >= 1.0 - 1e-8
 
     @pytest.mark.parametrize(
-        "lam, gamma, cutoff", [(0.0, 1.3, 11), (0.3, -0.8, 12), (0.25, 0.6, 12), (0.15, -1.2, 11)]
+        "lam, gamma, cutoff",
+        [
+            (0.0, 1.3, 11),
+            (0.3, -0.8, 12),
+            (0.25, 0.6, 12),
+            (0.15, -1.2, 11),
+            # R from about 1e-322 to 1e-6: below 2 eps only J_0 = 1 is kept, and 2k/R would overflow
+            (5e-324, 0.7, 11),
+            (1e-300, -0.4, 11),
+            (1e-20, 1.3, 12),
+            (1e-8, 0.0, 11),
+        ],
     )
-    def test_taylor_action_matches_dense_eigh(self, lam, gamma, cutoff):
+    def test_chebyshev_action_matches_dense_eigh(self, lam, gamma, cutoff):
         params = SqueezeParams(lam, gamma)
         state = build_state_exponential(params, cutoff)
         assert np.max(np.abs(state.amplitudes - dense_state(params, cutoff))) <= 1e-13
 
     @pytest.mark.parametrize("cutoff", [40, 80])
-    def test_taylor_action_unitary(self, cutoff):
+    def test_chebyshev_action_unitary(self, cutoff):
         for lam, gamma in [(0.5, 1.0), (0.6, -0.5), (0.45, 0.0)]:
             state = build_state_exponential(SqueezeParams(lam, gamma), cutoff)
             assert abs(state.norm_deficit) <= 1e-13
+
+    @pytest.mark.parametrize("bound", [1e-8, 0.5, 10.0, 104.0, 2200.0])
+    def test_chebyshev_weights_match_50_digit_bessel(self, bound):
+        # weights are J_0, 2 J_1, 2 J_2, ..., ending before the first k > R with |J_k(R)| < eps;
+        # at R = 2200 every 107th order and the last ones are checked, as mpmath takes 30 ms per order there
+        weights = _chebyshev_weights(bound)
+        stop = len(weights)
+        orders = range(stop + 1) if bound < 1e3 else sorted({*range(0, stop, 107), *range(stop - 3, stop + 1)})
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            exact = {k: float(mpmath.besselj(k, mpmath.mpf(bound))) for k in orders}
+        for k in orders[:-1]:
+            assert abs(weights[k] / (2.0 if k else 1.0) - exact[k]) <= 4 * eps, (k, weights[k], exact[k])
+        assert abs(exact[stop]) < eps < abs(exact[stop - 1]) or stop - 1 <= bound
+
+    def test_build_applies_the_generator_about_r_times(self, monkeypatch):
+        # every application multiplies by the left factor that np.hstack builds; at (0.5, 1.0),
+        # cutoff 40, R = 104 and a scaled Taylor series makes 324 of them
+        calls = []
+
+        class Counting(np.ndarray):
+            def __matmul__(self, other):
+                calls.append(other.shape)
+                return np.asarray(self) @ other
+
+        hstack = np.hstack
+        monkeypatch.setattr(np, "hstack", lambda arrays: hstack(arrays).view(Counting))
+        params = SqueezeParams(0.5, 1.0)
+        state = build_state_exponential(params, 40)
+        monkeypatch.undo()
+        q, _ = _quadratures(41)
+        bound = (params.lam1 + params.lam2) * np.linalg.norm(q, 2) ** 2
+        assert 104 < bound < 105
+        assert bound < len(calls) <= math.ceil(bound) + 60
+        assert state.overlap(fock_amplitudes(params, 40)) >= 1.0 - 1e-8
 
     def test_norm_accounting(self):
         state = build_state_exponential(SqueezeParams(0.4, 0.6), 20)
