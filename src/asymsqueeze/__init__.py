@@ -41,7 +41,6 @@ from .gaussian import (
     wigner_of_covariance,
 )
 from .state import (
-    COMPLEX_BASIS,
     GAMMA_MAX,
     LAMBDA_MAX,
     Coefficients,
@@ -49,7 +48,6 @@ from .state import (
     cf_closed,
     coefficients,
     coefficients_grid,
-    complex_form_matrix,
     covariance,
     enhanced_squeezing,
     fock_amplitudes,

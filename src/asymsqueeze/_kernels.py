@@ -11,9 +11,9 @@ Kernels:
                              ``fidelity_quadrature``, whose trapezoid sampling
                              error is about 2 e^{-pi^2 (N-1)^2 / 144}), from
                              chi_E's exponent as the real 2x2 form q in (Re, Im)
-                             that ``channel_form`` reduces once per quadrature;
-                             q's diagonal also gives the quadrature's axis decay
-                             rates, so no probe call is made
+                             that the quadrature builds once per call; q's
+                             diagonal also gives its axis decay rates, so no
+                             probe call is made
 """
 
 import math
@@ -70,19 +70,10 @@ def fock_series_table(a_coeff, b_coeff, norm, cutoff):
 # Teleportation fidelity integrand on a tensor grid of eta = x + iy:
 #   g(x, y) = |chi_in(eta)|^2 * chi_E(-eta*, -eta)
 # chi_in is the input state's characteristic function, called on the complex
-# grid; chi_E is the two-mode characteristic function exp[-v^T M v / 8] with
-# v = (conj(a), a, conj(b), b) evaluated at a = -eta*, b = -eta.  That v is
-# linear in (x, y), v = T (x, y) with T = _ETA_TO_V, so Re(v^T M v)/8 is the
-# real 2x2 form q = Re(T^T M T)/8 (``channel_form``), which the caller reduces
-# once and the kernel evaluates point by point:
+# grid; chi_E's exponent is a real quadratic form q in (x, y), which the caller
+# builds once per quadrature and the kernel evaluates point by point:
 #   chi_E = exp[-(q00 x^2 + (q01 + q10) x y + q11 y^2)].
 # ---------------------------------------------------------------------------
-
-_ETA_TO_V = np.array([[-1.0, -1j], [-1.0, 1j], [-1.0, 1j], [-1.0, -1j]])
-
-
-def channel_form(m_mat):
-    return (_ETA_TO_V.T @ m_mat @ _ETA_TO_V).real / 8.0
 
 
 def teleport_integrand(xs, ys, q, chi_in):

@@ -196,19 +196,10 @@ def covariance_numeric(state: FockState2) -> CovarianceMatrix:
     q, p = _quadratures(d)
     c = state.amplitudes
     # (A x B)|psi> in amplitude-matrix form is A C B^T; quadratures act on one
-    # mode at a time.
-    vecs = [q @ c, p @ c, c @ q.T, c @ p.T]  # Q1, P1, Q2, P2 applied to psi
-
-    def pair(i, j):
-        return float(np.real(np.sum(np.conj(vecs[i]) * vecs[j])))
-
-    mom = np.empty((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            sym = 0.5 * (pair(i, j) + pair(j, i))
-            mom[i, j] = sym
-            mom[j, i] = sym
-    return CovarianceMatrix(mom)
+    # mode at a time.  <psi|(X_i X_j + X_j X_i)/2|psi> = Re <X_i psi|X_j psi>,
+    # the real part of the Gram matrix of the four vectors.
+    vecs = np.stack([q @ c, p @ c, c @ q.T, c @ p.T]).reshape(4, -1)  # Q1, P1, Q2, P2 applied to psi
+    return CovarianceMatrix((vecs.conj() @ vecs.T).real)
 
 
 def _displacements(cutoff, point):

@@ -40,17 +40,6 @@ if TYPE_CHECKING:
 LAMBDA_MAX = 5.0
 GAMMA_MAX = 5.0
 
-#: Change of basis from (q1, p1, q2, p2) to (alpha*, alpha, beta*, beta):
-#: v = conj(N) x, equivalently x^T N^{-1} = v^T.
-COMPLEX_BASIS = np.array(
-    [
-        [1.0, 1.0j, 0.0, 0.0],
-        [1.0, -1.0j, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 1.0j],
-        [0.0, 0.0, 1.0, -1.0j],
-    ]
-) / math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class SqueezeParams:
@@ -217,28 +206,6 @@ def log_negativity_closed(params: SqueezeParams) -> float:
     return math.asinh(coefficients(params).m3)
 
 
-def complex_form_matrix(params: SqueezeParams) -> np.ndarray:
-    """Hermitian exponent matrix M in the (alpha*, alpha, beta*, beta) basis.
-
-    The Wigner function is (1/pi^2) exp[-v^T M v / 2] and the characteristic
-    function exp[-v^T M v / 8]; equivalently M = N sigma^{-1} N^T under the
-    COMPLEX_BASIS change (for this pure state sigma^{-1}/4 coincides with the
-    rotated covariance kernel used by ``cf_of_covariance``).
-    """
-    c = coefficients(params)
-    dm = c.m1 - c.m2
-    sm = c.m1 + c.m2
-    t = -2.0 * c.m3
-    return np.array(
-        [
-            [dm, sm, t, 0.0],
-            [sm, dm, 0.0, t],
-            [t, 0.0, -dm, sm],
-            [0.0, t, sm, -dm],
-        ]
-    )
-
-
 def cf_closed(params: SqueezeParams, point: PhasePoint) -> float:
     """Closed-form symmetric-order characteristic function exp(-Q/4), pi^2 W = exp(-Q).
 
@@ -281,7 +248,8 @@ def heisenberg_transform(params: SqueezeParams) -> np.ndarray:
     P2 -> P2 cosh(lam) - P1 e^{-gamma} sinh(lam)
     Both blocks have unit determinant and the p block is the transpose-inverse
     of the q block, so S Omega S^T = Omega; the transformed vacuum S S^T / 2
-    reproduces ``covariance``, which makes S the tests' Heisenberg-picture reference.
+    reproduces ``covariance``.  ``fidelity_quadrature`` takes the channel CF
+    from S, and the tests take S as the Heisenberg-picture reference.
     """
     ch = math.cosh(params.lam)
     sh = math.sinh(params.lam)

@@ -14,10 +14,12 @@ channel scalar f from ``coefficients``, which makes the two closed forms
 
 The quadrature evaluator below does not use that reduction: it integrates the
 pointwise product of input CF and channel CF numerically and serves as the
-independent check on the closed forms.  The slot binding of chi_E(-eta*, -eta)
+independent check on the closed forms.  It takes the channel CF from the
+squeezer's symplectic matrix S alone.  The slot binding of chi_E(-eta*, -eta)
 (which argument is mode 1) is pinned by the gamma = 0 reduction
-F = (1 + tanh lam)/2; for this channel's exponent matrix the two bindings
-coincide, because the mode-swapped terms cancel in the quadratic form.
+F = (1 + tanh lam)/2; for this channel the two bindings coincide, because
+swapping the modes maps S to the S of -gamma, and the form below is even in
+gamma.
 """
 
 import math
@@ -28,12 +30,15 @@ import numpy as np
 
 from . import _kernels
 from .errors import QuadratureDomainError, ValidationError
-from .state import SqueezeParams, coefficients, complex_form_matrix
+from .gaussian import SYMPLECTIC_FORM
+from .state import SqueezeParams, coefficients, heisenberg_transform
 
 _AMPLITUDE_MAX = 10.0
 _SQUEEZE_MAX = 3.0
 _DECAY_FLOOR = 1e-3
 _NODES = 61  # odd, so eta = 0 is a node
+# (Re eta, Im eta) -> the (q1, p1, q2, p2) vector of (alpha, beta) = (-eta*, -eta), over sqrt(2)
+_ETA_TO_PHASE = np.array([[-1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,8 @@ def cf_input(state: InputState, eta):
     Written in x = Re eta, y = Im eta, so a scalar and an array element get
     the same floating-point operations:
     coherent  exp[-|eta|^2/2 + eta b* - eta* b],  eta b* - eta* b = 2i (y Re b - x Im b);
-    squeezed  exp[-|eta|^2 cosh(2r)/2 - (eta^2 + eta*^2) sinh(2r)/4],  eta^2 + eta*^2 = 2 (x^2 - y^2).
+    squeezed  exp[-|eta|^2 cosh(2r)/2 - (eta^2 + eta*^2) sinh(2r)/4] = exp[-(e^{2r} x^2 + e^{-2r} y^2)/2],
+              the second form free of the first's cancelling terms of size |eta|^2 cosh(2r)/2.
     The coherent exponent's real and imaginary parts are written into one
     complex array from real arrays, with no complex temporaries.
     """
@@ -100,16 +106,21 @@ def cf_input(state: InputState, eta):
         exponent.imag = 2.0 * (eta.imag * b.real - eta.real * b.imag)
         return np.exp(exponent)
     if isinstance(state, SqueezedVacuum):
-        return np.exp(-0.5 * (x2 + y2) * math.cosh(2.0 * state.r) - 0.5 * (x2 - y2) * math.sinh(2.0 * state.r))
+        return np.exp(-0.5 * (x2 * math.exp(2.0 * state.r) + y2 * math.exp(-2.0 * state.r)))
     raise ValidationError(f"unsupported input state {state!r}")
 
 
 def fidelity_quadrature(state: InputState, params: SqueezeParams) -> Fidelity:
     """Fidelity by 2D quadrature of the CF overlap integrand.
 
-    chi_E's exponent -v^T M v / 8 is reduced once per call to a real 2x2
-    quadratic form q in (Re eta, Im eta) (``_kernels.channel_form``), and the
-    integrand |chi_in|^2 * chi_E is evaluated point by point on a 61 x 61 grid
+    A pure Gaussian state's CF is exp(-x^T Omega^T sigma Omega x / 2) with
+    sigma = S S^T / 2 (S = ``heisenberg_transform``), and chi_E(-eta*, -eta)
+    takes it at x = sqrt(2) P (Re eta, Im eta) (P = ``_ETA_TO_PHASE``), so its
+    exponent is -|G (Re eta, Im eta)|^2 / 2 with G = S^T Omega P.  The real
+    2x2 form q = G^T G / 2 is built once per call as a Gram product, in which
+    no large terms cancel: it holds -f I to about eps e^{2 lam} relative, the
+    rounding of G's entries cosh(lam) - e^{+-gamma} sinh(lam).  The integrand
+    |chi_in|^2 * chi_E is evaluated point by point on a 61 x 61 grid
     (``_NODES``, ``_kernels.teleport_integrand``).  It is a centered Gaussian,
     and so is |chi_in|^2 alone, with no cross term; each axis decay rate c is
     q's diagonal entry plus -2 ln|chi_in| at unit distance (eta = 1, eta = i),
@@ -123,11 +134,10 @@ def fidelity_quadrature(state: InputState, params: SqueezeParams) -> Fidelity:
     this, because at fixed y the x^2 coefficient is still c.  A decay rate
     below ``_DECAY_FLOOR`` (or NaN) means a non-normalizable integrand and
     raises QuadratureDomainError (cannot happen inside the parameter
-    envelopes).  Near gamma = 0 at large lam the entries of M, up to
-    m1 + m2 + 2|m3|, carry the small channel scalar f only to about
-    eps (m1 + m2 + 2|m3|), which bounds the agreement with the closed forms there.
+    envelopes).
     """
-    q = _kernels.channel_form(complex_form_matrix(params))
+    g = heisenberg_transform(params).T @ SYMPLECTIC_FORM @ _ETA_TO_PHASE
+    q = g.T @ g / 2.0
 
     def chi_in(eta):
         return cf_input(state, eta)

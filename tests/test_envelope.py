@@ -46,6 +46,16 @@ OUTER_QUADRATURE = (
     (3.0, -3.0, 0.0),
     (3.0, 3.0, 1.0),
 )
+# gamma = 0 at large lambda, where f ~ -e^{-2 lambda} is smallest against the
+# state's e^{2 lambda} scale: the channel form must carry f without cancelling
+# terms of that scale.  At |r| = 3 the squeezed input's y axis spans about
+# 6 e^{|r|}, where its CF must not cancel terms of size |eta|^2 cosh(2r)/2 either.
+GAMMA_ZERO_QUADRATURE = (
+    (4.75, 0.0, 0.0),
+    (4.75, 0.0, 2.0),
+    (5.0, 0.0, 1.0),
+    (5.0, 0.0, -3.0),
+)
 COARSE_QUADRATURE = tuple(
     (float(lam), float(gamma), r)
     for lam in np.linspace(0.0, 5.0, 6)
@@ -168,10 +178,11 @@ def test_cf_closed_over_the_envelope(rng):
     assert sum(term > 1e-9 for term in rounding_terms) >= 100
 
 
+QUADRATURE_POINTS = OUTER_QUADRATURE + GAMMA_ZERO_QUADRATURE + COARSE_QUADRATURE
+
+
 @pytest.mark.parametrize(
-    "lam, gamma, r",
-    OUTER_QUADRATURE + COARSE_QUADRATURE,
-    ids=[f"{lam:g},{gamma:g},{r:g}" for lam, gamma, r in OUTER_QUADRATURE + COARSE_QUADRATURE],
+    "lam, gamma, r", QUADRATURE_POINTS, ids=[f"{lam:g},{gamma:g},{r:g}" for lam, gamma, r in QUADRATURE_POINTS]
 )
 def test_quadrature_matches_closed_forms(lam, gamma, r):
     params = SqueezeParams(lam, gamma)
@@ -190,7 +201,7 @@ def test_quadrature_still_rejects_a_non_decaying_integrand(monkeypatch):
     from asymsqueeze import teleport
 
     monkeypatch.setattr(teleport, "cf_input", lambda state, eta: np.exp(np.abs(eta) ** 2))
-    monkeypatch.setattr(teleport, "complex_form_matrix", lambda params: np.zeros((4, 4)))
+    monkeypatch.setattr(teleport, "heisenberg_transform", lambda params: np.zeros((4, 4)))
     with pytest.raises(QuadratureDomainError):
         fidelity_quadrature(Coherent(0j), SqueezeParams(0.5, 0.0))
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from _oracles import coefficients_50_digits
-from asymsqueeze import Coherent, SqueezedVacuum, SqueezeParams, cf_input, coefficients, complex_form_matrix, fidelity_quadrature
+from asymsqueeze import Coherent, SqueezedVacuum, SqueezeParams, cf_input, coefficients, fidelity_quadrature
 from asymsqueeze import _kernels
 
 EPS = np.finfo(float).eps
@@ -84,14 +84,47 @@ def reference_teleport_integrand(xs, ys, m_mat, chi_in):
     return np.abs(chi_in(eta)) ** 2 * np.exp(-quad.real / 8.0)
 
 
-def assert_matches_reference(m_mat, state):
+# v = (conj(a), a, conj(b), b) at a = -eta*, b = -eta is T (Re eta, Im eta)
+ETA_TO_V = np.array([[-1.0, -1j], [-1.0, 1j], [-1.0, 1j], [-1.0, -1j]])
+
+
+def reference_form(m_mat):
+    """Re(v^T M v)/8 as the real 2x2 form Re(T^T M T)/8 in (Re eta, Im eta)."""
+    return (ETA_TO_V.T @ m_mat @ ETA_TO_V).real / 8.0
+
+
+def channel_matrix(params):
+    """The channel's CF exponent matrix M in the (alpha*, alpha, beta*, beta) basis, CF = exp(-v^T M v / 8)."""
+    c = coefficients(params)
+    dm, sm, t = c.m1 - c.m2, c.m1 + c.m2, -2.0 * c.m3
+    return np.array([[dm, sm, t, 0.0], [sm, dm, 0.0, t], [t, 0.0, -dm, sm], [0.0, t, sm, -dm]])
+
+
+class _Form(Exception):
+    pass
+
+
+def quadrature_form(params):
+    """The channel form q that ``fidelity_quadrature`` hands to the integrand kernel."""
+
+    def capture(xs, ys, q, chi_in):
+        raise _Form(q)
+
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(_Form) as captured:
+        patch.setattr(_kernels, "teleport_integrand", capture)
+        fidelity_quadrature(Coherent(), params)
+    return captured.value.args[0]
+
+
+def assert_matches_reference(m_mat, state, q=None):
+    """The kernel on the form q (by default ``reference_form(m_mat)``) against the 16-term sum of M."""
     # keep the channel exponent above about -500, so that neither route underflows
     size = float(np.abs(m_mat).sum())
     radius = min(2.0, (4000.0 / size) ** 0.5 / 2 ** 0.5)
     xs = np.linspace(-radius, radius, 41)
     ys = np.linspace(-radius, 0.8 * radius, 37)
     chi_in = lambda eta: cf_input(state, eta)
-    new = _kernels.teleport_integrand(xs, ys, _kernels.channel_form(m_mat), chi_in)
+    new = _kernels.teleport_integrand(xs, ys, reference_form(m_mat) if q is None else q, chi_in)
     old = reference_teleport_integrand(xs, ys, m_mat, chi_in)
     assert new.shape == old.shape == (41, 37)
     assert np.all(new > 0.0) and np.all(old > 0.0)
@@ -106,22 +139,22 @@ def assert_matches_reference(m_mat, state):
 @pytest.mark.parametrize("lam", [0.0, 0.7, 2.5, 5.0])
 @pytest.mark.parametrize("gamma", [-5.0, -1.0, 0.0, 2.0, 5.0])
 def test_teleport_integrand_matches_reference_on_channel_matrices(lam, gamma, kind):
-    assert_matches_reference(complex_form_matrix(SqueezeParams(lam, gamma)), INPUTS[kind])
+    # the quadrature's own form, from S, against the channel's complex-basis matrix M
+    params = SqueezeParams(lam, gamma)
+    assert_matches_reference(channel_matrix(params), INPUTS[kind], quadrature_form(params))
 
 
-def test_channel_form_of_the_channel_matrix_is_f_times_the_identity():
-    # chi_E(-eta*, -eta) = exp(f |eta|^2), so q = -f I; the reduction cancels
-    # entries of size up to m1 + m2 + 2|m3|, and holds f to that rounding
+def test_quadrature_channel_form_is_minus_f_times_the_identity():
+    # chi_E(-eta*, -eta) = exp(f |eta|^2), so q = -f I; the Gram product G^T G / 2
+    # cancels no large terms, and holds the small f ~ -e^{-2 lam} at gamma = 0
     worst = 0.0
-    for lam in np.linspace(0.0, 5.0, 21):
-        for gamma in np.linspace(-5.0, 5.0, 21):
-            params = SqueezeParams(lam, gamma)
-            c = coefficients(params)
-            q = _kernels.channel_form(complex_form_matrix(params))
-            scale = EPS * (c.m1 + c.m2 + 2.0 * abs(c.m3))
-            deviations = (abs(q[0, 0] + c.f), abs(q[1, 1] + c.f), abs(q[0, 1] + q[1, 0]))
-            worst = max(worst, max(deviations) / scale)
-    assert worst <= 4.0
+    for lam in np.linspace(0.0, 5.0, 41):
+        for gamma in np.linspace(-5.0, 5.0, 41):
+            q = quadrature_form(SqueezeParams(lam, gamma))
+            exact = float(coefficients_50_digits(lam, gamma)[3])
+            deviations = (abs(q[0, 0] + exact), abs(q[1, 1] + exact), abs(q[0, 1]), abs(q[1, 0]))
+            worst = max(worst, max(deviations) / abs(exact))
+    assert worst <= 1e-11
 
 
 def test_quadrature_evaluates_the_integrand_once(monkeypatch):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from asymsqueeze import (
-    COMPLEX_BASIS,
     CovarianceMatrix,
     CutoffTooSmallError,
     PhasePoint,
@@ -15,7 +14,6 @@ from asymsqueeze import (
     cf_of_covariance,
     coefficients,
     coefficients_grid,
-    complex_form_matrix,
     covariance,
     enhanced_squeezing,
     fock_amplitudes,
@@ -195,20 +193,6 @@ class TestCfClosed:
                 + (alpha * beta).real * math.sinh(2 * lam)
             )
             assert cf_closed(p, pt) == pytest.approx(expected, abs=1e-12)
-
-
-class TestComplexFormMatrix:
-    def test_hermitian_and_basis_change(self, rng):
-        for _ in range(20):
-            p = random_params(rng)
-            m = complex_form_matrix(p)
-            assert np.allclose(m, m.conj().T, atol=1e-12)
-            sigma = covariance(p).entries
-            # M is the inverse covariance seen in the complex basis, and
-            # (pure state) four times the rotated CF kernel.
-            assert np.allclose(m, COMPLEX_BASIS @ np.linalg.inv(sigma) @ COMPLEX_BASIS.T, atol=1e-9)
-            kernel = SYMPLECTIC_FORM.T @ sigma @ SYMPLECTIC_FORM
-            assert np.allclose(m, 4.0 * COMPLEX_BASIS @ kernel @ COMPLEX_BASIS.T, atol=1e-9)
 
 
 class TestVariances:
