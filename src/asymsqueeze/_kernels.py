@@ -12,8 +12,7 @@ Kernels:
                              error is about 2 e^{-pi^2 (N-1)^2 / 144}), from
                              chi_E's exponent as the real 2x2 form q in (Re, Im)
                              that the quadrature builds once per call; q's
-                             diagonal also gives its axis decay rates, so no
-                             probe call is made
+                             diagonal also gives its axis decay rates
 """
 
 import math

@@ -131,19 +131,21 @@ def log_negativity(cov):
 def wigner_of_covariance(cov, point):
     """Wigner density (1/pi^2) exp[-x^T sigma^{-1} x / 2] of a pure state.
 
-    The fixed 1/pi^2 prefactor is exact only when det sigma = 1/16 (pure
-    two-mode Gaussian in this convention), so purity is asserted rather than
-    silently generalized to mixed states.  The gate allows 1e-6 or det sigma's
-    rounding error, whichever is larger: eps |sigma_ij C_ij| per entry (C the
-    cofactors, C^T = det sigma * sigma^{-1}), times 4n = 16 for the LU.
+    A pure state has sigma^{-1} = 4 K (Weedbrook et al., RMP 84, 621, 2012),
+    with K = Omega^T sigma Omega the kernel of ``cf_of_covariance``, so nothing
+    is inverted.  That identity and the fixed 1/pi^2 prefactor need det sigma
+    = 1/16, so purity is asserted rather than generalized to mixed states.  The
+    gate allows 1e-6 or det sigma's rounding error, whichever is larger: eps
+    |sigma_ij C_ij| per entry, times 4n = 16 for the LU, with the cofactors
+    C = det sigma * sigma^{-1} taken as K/4, their value at det sigma = 1/16.
     """
+    kernel = SYMPLECTIC_FORM.T @ cov.entries @ SYMPLECTIC_FORM
     det = cov.determinant
-    rounding = 16.0 * np.finfo(float).eps * abs(det) * np.sum(np.abs(cov.entries * np.linalg.inv(cov.entries).T))
+    rounding = 4.0 * np.finfo(float).eps * np.sum(np.abs(cov.entries * kernel))
     if abs(det - 1.0 / 16.0) > max(1e-6, rounding):
         raise PurityError(f"det sigma = {det:.9e} != 1/16: the state is not pure")
     x = point.vector
-    expo = -0.5 * float(x @ np.linalg.solve(cov.entries, x))
-    return math.exp(expo) / math.pi ** 2
+    return math.exp(-2.0 * float(x @ kernel @ x)) / math.pi ** 2
 
 
 def cf_of_covariance(cov, point):

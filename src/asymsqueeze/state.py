@@ -76,20 +76,15 @@ class SqueezeParams:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Derived scalars feeding every closed form.
+    """The four scalars every closed form is computed from.
 
-    m1, m2, m3 are the Wigner exponent coefficients; L sets the state norm
-    through the prefactor 2/sqrt(L); A and B are the single- and two-mode
-    creation coefficients of its exponential Fock form; f the teleportation
+    m1, m2, m3 are the Wigner exponent coefficients; f the teleportation
     scalar (always negative, so fidelities stay inside (0, 1]).  From
     ``coefficients_grid`` each field is an array over the grid."""
 
     m1: float
     m2: float
     m3: float
-    L: float
-    A: float
-    B: float
     f: float
 
 
@@ -101,7 +96,6 @@ def _lambda_terms(lam):
         math.cosh(lam) ** 2,
         sh ** 2,
         math.sinh(2.0 * lam),
-        math.tanh(lam) ** 2,
         math.exp(-2.0 * lam),
         math.exp(-lam),
     )
@@ -113,33 +107,28 @@ def _gamma_terms(gamma):
         math.exp(2.0 * gamma),
         math.exp(-2.0 * gamma),
         math.cosh(gamma),
-        math.sinh(gamma) ** 2,
-        math.sinh(2.0 * gamma),
         4.0 * math.sinh(0.5 * gamma) ** 2,
     )
 
 
 def _combine(lam_terms, gamma_terms) -> Coefficients:
-    """The seven coefficients from the terms of each variable.
+    """The four coefficients from the terms of each variable.
 
     Only + - * / appear here, each correctly rounded, so broadcast arrays of
     terms give bit for bit the coefficients that floats give.
     """
-    sh, c2, s2, sinh2l, th2, e2l, el = lam_terms
-    e2g, em2g, chg, shg2, sinh2g, shhalf4 = gamma_terms
+    sh, c2, s2, sinh2l, e2l, el = lam_terms
+    e2g, em2g, chg, shhalf4 = gamma_terms
     m1 = c2 + e2g * s2
     m2 = c2 + em2g * s2
     m3 = chg * sinh2l
-    big_l = 4.0 * (1.0 + shg2 * th2) * c2
-    a_coeff = s2 * sinh2g / big_l
-    b_coeff = 2.0 * sinh2l * chg / big_l
     # f = m3 - c2 - cosh(2 gamma) s2, regrouped so that no large terms cancel
     f = -e2l + shhalf4 * sh * (el - chg * sh)
-    return Coefficients(m1=m1, m2=m2, m3=m3, L=big_l, A=a_coeff, B=b_coeff, f=f)
+    return Coefficients(m1=m1, m2=m2, m3=m3, f=f)
 
 
 def coefficients(params: SqueezeParams) -> Coefficients:
-    """All seven derived scalars from hyperbolic functions of (lam, gamma)."""
+    """m1, m2, m3 and f from hyperbolic functions of (lam, gamma)."""
     return _combine(_lambda_terms(params.lam), _gamma_terms(params.gamma))
 
 
@@ -269,12 +258,17 @@ def fock_amplitudes(params: SqueezeParams, cutoff: int) -> FockState2:
 
     Expands (2/sqrt(L)) exp[A(b'^2 - a'^2) + B a'b'] |00> as a product of
     three commuting truncated exponential series (primes denote creation
-    operators).  Amplitudes inside the retained block are exact; the norm
-    deficit 1 - sum |c|^2 measures the discarded tail and a deficit above
-    ``fock._DEFICIT_LIMIT`` (1e-6) raises CutoffTooSmallError.
+    operators), with L = m1 + m2 + 2, A = (m1 - m2)/(2L) and B = 2 m3/L, as
+    m1 + m2 + 2 = 4 (cosh^2 lam + sinh^2 gamma sinh^2 lam) and m1 - m2 =
+    2 sinh(2 gamma) sinh^2 lam.  Amplitudes inside the retained block are
+    exact; the norm deficit 1 - sum |c|^2 measures the discarded tail and a
+    deficit above ``fock._DEFICIT_LIMIT`` (1e-6) raises CutoffTooSmallError.
     """
     if cutoff < 2:
         raise ValidationError(f"cutoff must be >= 2, got {cutoff}")
     c = coefficients(params)
-    table = _kernels.fock_series_table(c.A, c.B, 2.0 / math.sqrt(c.L), int(cutoff))
+    big_l = c.m1 + c.m2 + 2.0
+    a_coeff = (c.m1 - c.m2) / (2.0 * big_l)
+    b_coeff = 2.0 * c.m3 / big_l
+    table = _kernels.fock_series_table(a_coeff, b_coeff, 2.0 / math.sqrt(big_l), int(cutoff))
     return FockState2.from_amplitudes(table.astype(complex), check_deficit=_DEFICIT_LIMIT)

@@ -202,9 +202,20 @@ class TestWignerOfCovariance:
         total = np.sum(np.exp(-0.5 * expo)) / math.pi ** 2 * step ** 4
         assert total == pytest.approx(1.0, rel=0.01)
 
+    def test_inverse_is_four_times_the_cf_kernel(self, rng):
+        # a pure state has sigma^{-1} = 4 Omega^T sigma Omega, which the Wigner route takes in
+        # place of the inverse; the generic inverse is the reference here
+        for _ in range(200):
+            sigma = covariance(SqueezeParams(rng.uniform(0.0, 1.5), rng.uniform(-2.0, 2.0))).entries
+            inverse = np.linalg.inv(sigma)
+            assert np.max(np.abs(4.0 * OMEGA.T @ sigma @ OMEGA - inverse)) <= 1e-12 * np.max(np.abs(inverse))
+
     def test_rejects_mixed_state(self):
-        with pytest.raises(PurityError):
-            wigner_of_covariance(CovarianceMatrix(0.8 * np.eye(4)), PhasePoint.origin())
+        # thermal states; at 1e7 the purity gate's rounding allowance is sized on the
+        # envelope's scale, and must still not grow with a mixed state's det sigma
+        for scale in (0.8, 1e7):
+            with pytest.raises(PurityError):
+                wigner_of_covariance(CovarianceMatrix(scale * np.eye(4)), PhasePoint.origin())
 
     def test_accepts_every_pure_state_of_the_envelope(self):
         # det sigma misses 1/16 by up to 1.7e-5 (16 det - 1) from rounding alone

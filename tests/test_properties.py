@@ -2,6 +2,7 @@
 teleportation fidelities over the whole accepted envelope lambda in [0, 5],
 |gamma| <= 5, |r| <= 3."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymsqueeze import (
+    Coefficients,
     Coherent,
     SqueezedVacuum,
     SqueezeParams,
@@ -20,7 +22,7 @@ from asymsqueeze import (
 )
 from asymsqueeze._kernels import bell_values
 
-FIELDS = ("m1", "m2", "m3", "L", "A", "B", "f")
+FIELDS = tuple(field.name for field in dataclasses.fields(Coefficients))
 LAM = st.floats(min_value=0.0, max_value=5.0)
 GAMMA = st.floats(min_value=-5.0, max_value=5.0)
 R = st.floats(min_value=-3.0, max_value=3.0)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from asymsqueeze import (
+    Coefficients,
     CovarianceMatrix,
     CutoffTooSmallError,
     PhasePoint,
@@ -53,8 +55,6 @@ class TestCoefficients:
     def test_vacuum(self):
         c = coefficients(SqueezeParams(0.0, 2.0))
         assert (c.m1, c.m2, c.m3) == (1.0, 1.0, 0.0)
-        assert c.L == 4.0
-        assert c.A == 0.0 and c.B == 0.0
         assert c.f == -1.0
 
     def test_symmetric_case(self):
@@ -62,9 +62,6 @@ class TestCoefficients:
         assert c.m1 == pytest.approx(math.cosh(1.0), abs=1e-15)
         assert c.m2 == pytest.approx(math.cosh(1.0), abs=1e-15)
         assert c.m3 == pytest.approx(math.sinh(1.0), abs=1e-15)
-        assert c.L == pytest.approx(4.0 * math.cosh(0.5) ** 2, abs=1e-14)
-        assert c.A == 0.0
-        assert c.B == pytest.approx(math.tanh(0.5), abs=1e-15)
 
     def test_frozen_asymmetric_values(self):
         # frozen by independent desk evaluation of the defining hyperbolics
@@ -72,9 +69,6 @@ class TestCoefficients:
         assert c.m1 == pytest.approx(3.2779669558539748, abs=1e-12)
         assert c.m2 == pytest.approx(1.3082893031741418, abs=1e-12)
         assert c.m3 == pytest.approx(1.8134302039235093, abs=1e-12)
-        assert c.L == pytest.approx(6.5862562590281151, abs=1e-12)
-        assert c.A == pytest.approx(0.14952938173183714, abs=1e-13)
-        assert c.B == pytest.approx(0.55067101327487789, abs=1e-13)
         assert c.f == pytest.approx(-0.47969792559054913, abs=1e-13)
         assert c.m1 * c.m2 - c.m3 ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -89,7 +83,7 @@ class TestCoefficients:
             assert c.f < 0.0
 
 
-FIELDS = ("m1", "m2", "m3", "L", "A", "B", "f")
+FIELDS = tuple(field.name for field in dataclasses.fields(Coefficients))
 
 
 def same_bits(a, b):
@@ -110,11 +104,6 @@ class TestCoefficientsGrid:
                 scalar = coefficients(SqueezeParams(lam, gamma))
                 for field in FIELDS:
                     assert same_bits(getattr(grid, field)[i, k], getattr(scalar, field)), (lam, gamma, field)
-
-    def test_signed_zero_reaches_the_fields(self):
-        # sinh(2 gamma) keeps the sign of gamma = -0.0, so A does
-        grid = coefficients_grid(np.array([0.5]), np.array([-0.0, 0.0]))
-        assert same_bits(grid.A[0, 0], -0.0) and same_bits(grid.A[0, 1], 0.0)
 
     @pytest.mark.parametrize("lams, gammas", [([0.5, 5.5], [0.0]), ([-0.1], [0.0]), ([0.5], [1.0, -6.0]),
                                               ([0.5], [np.nan])])
@@ -289,6 +278,29 @@ class TestFockAmplitudes:
         expected[0, 0] = 1.0
         assert np.allclose(state.amplitudes, expected, atol=1e-15)
         assert state.norm_deficit == pytest.approx(0.0, abs=1e-15)
+
+    # The series is (2/sqrt(L)) exp[A(b'^2 - a'^2) + B a'b'] |00>, so its lowest
+    # amplitudes give L = 4/c00^2, c11/c00 = B and c02/c00 = -c20/c00 = sqrt(2) A.
+
+    def test_vacuum_series_coefficients(self):
+        c = fock_amplitudes(SqueezeParams(0.0, 2.0), 8).amplitudes.real
+        assert c[0, 0] == 1.0
+        assert c[1, 1] == 0.0 and c[0, 2] == 0.0 and c[2, 0] == 0.0
+
+    def test_symmetric_series_coefficients(self):
+        c = fock_amplitudes(SqueezeParams(0.5, 0.0), 30).amplitudes.real
+        assert 4.0 / c[0, 0] ** 2 == pytest.approx(4.0 * math.cosh(0.5) ** 2, abs=1e-14)
+        assert c[1, 1] / c[0, 0] == pytest.approx(math.tanh(0.5), abs=1e-15)
+        assert c[0, 2] == 0.0 and c[2, 0] == 0.0
+
+    def test_frozen_asymmetric_series_coefficients(self):
+        # frozen by independent desk evaluation of L = 4 (cosh^2 lam + sinh^2 gamma sinh^2 lam),
+        # A = sinh^2 lam sinh(2 gamma)/L and B = 2 cosh(gamma) sinh(2 lam)/L
+        c = fock_amplitudes(SqueezeParams(0.5, 1.0), 30).amplitudes.real
+        assert 4.0 / c[0, 0] ** 2 == pytest.approx(6.5862562590281151, abs=1e-12)
+        assert c[1, 1] / c[0, 0] == pytest.approx(0.55067101327487789, abs=1e-13)
+        assert c[0, 2] / c[0, 0] == pytest.approx(math.sqrt(2.0) * 0.14952938173183714, abs=1e-13)
+        assert -c[2, 0] / c[0, 0] == pytest.approx(math.sqrt(2.0) * 0.14952938173183714, abs=1e-13)
 
     def test_symmetric_geometric_amplitudes(self):
         lam = 0.5
