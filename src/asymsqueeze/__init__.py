@@ -30,6 +30,7 @@ from .fock import (
     cf_numeric,
     covariance_numeric,
     log_negativity_numeric,
+    phase_space,
     wigner_numeric,
 )
 from .gaussian import (

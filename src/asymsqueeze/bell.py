@@ -10,7 +10,8 @@ evaluates the four-exponential closed form, ``bell_from_wigner`` assembles
 the same combination from the closed-form Wigner function.  They agree to
 1e-12 everywhere, which is the structural check on the closed form's algebra.
 The four-Wigner assembly has one home, ``_chsh_from_wigner``, which takes any
-Wigner function; ``verify`` feeds it the Fock oracle's.  ``maximize_bell``
+Wigner function; ``verify`` evaluates the Fock oracle's at ``_chsh_points``
+in one batch and feeds it those values.  ``maximize_bell``
 takes the best setting in closed form: the maximal CHSH value is a function
 of the log-negativity alone.
 """
@@ -79,18 +80,16 @@ def bell_from_wigner(params: SqueezeParams, setting: BellSetting) -> BellValue:
     return BellValue.of(_chsh_from_wigner(lambda point: wigner_closed(params, point), setting))
 
 
+def _chsh_points(setting: BellSetting):
+    """The four (PhasePoint, sign) terms of the CHSH combination at ``setting``."""
+    a, b, zero = setting.alpha, setting.beta, 0.0 + 0.0j
+    terms = ((zero, zero, 1.0), (a, zero, 1.0), (zero, b, 1.0), (a, b, -1.0))
+    return [(PhasePoint.from_complex(alpha, beta), sign) for alpha, beta, sign in terms]
+
+
 def _chsh_from_wigner(wigner, setting: BellSetting) -> float:
-    """B = pi^2 [W(0,0) + W(alpha,0) + W(0,beta) - W(alpha,beta)] for a
-    Wigner function ``wigner`` taking a PhasePoint."""
-    alpha, beta = setting.alpha, setting.beta
-    zero = 0.0 + 0.0j
-    combo = (
-        wigner(PhasePoint.from_complex(zero, zero))
-        + wigner(PhasePoint.from_complex(alpha, zero))
-        + wigner(PhasePoint.from_complex(zero, beta))
-        - wigner(PhasePoint.from_complex(alpha, beta))
-    )
-    return math.pi ** 2 * combo
+    """B = pi^2 [W(0,0) + W(alpha,0) + W(0,beta) - W(alpha,beta)] for a Wigner function of a PhasePoint."""
+    return math.pi ** 2 * sum(sign * wigner(point) for point, sign in _chsh_points(setting))
 
 
 def maximize_bell(params: SqueezeParams):

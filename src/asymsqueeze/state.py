@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError
-from .fock import _DEFICIT_LIMIT, FockState2
+from .errors import CutoffTooSmallError, ValidationError
+from .fock import _DEFICIT_LIMIT, _EPS, FockState2
 from .gaussian import CovarianceMatrix
 
 if TYPE_CHECKING:
@@ -260,15 +260,22 @@ def fock_amplitudes(params: SqueezeParams, cutoff: int) -> FockState2:
     three commuting truncated exponential series (primes denote creation
     operators), with L = m1 + m2 + 2, A = (m1 - m2)/(2L) and B = 2 m3/L, as
     m1 + m2 + 2 = 4 (cosh^2 lam + sinh^2 gamma sinh^2 lam) and m1 - m2 =
-    2 sinh(2 gamma) sinh^2 lam.  Amplitudes inside the retained block are
-    exact; the norm deficit 1 - sum |c|^2 measures the discarded tail and a
-    deficit above ``fock._DEFICIT_LIMIT`` (1e-6) raises CutoffTooSmallError.
+    2 sinh(2 gamma) sinh^2 lam, the form A is taken in (it cannot cancel).  A
+    deficit 1 - sum |c|^2 above ``fock._DEFICIT_LIMIT`` (1e-6) raises
+    CutoffTooSmallError, and so does one below -(cutoff+1)^2 eps, the rounding of
+    the sum, or any |c| > 1: "Fock series at cutoff ... cancels to noise for ...",
+    as the alternating terms do at large cutoffs for |A| above about 0.3.
     """
     if cutoff < 2:
         raise ValidationError(f"cutoff must be >= 2, got {cutoff}")
     c = coefficients(params)
     big_l = c.m1 + c.m2 + 2.0
-    a_coeff = (c.m1 - c.m2) / (2.0 * big_l)
+    a_coeff = math.sinh(2.0 * params.gamma) * math.sinh(params.lam) ** 2 / big_l
     b_coeff = 2.0 * c.m3 / big_l
     table = _kernels.fock_series_table(a_coeff, b_coeff, 2.0 / math.sqrt(big_l), int(cutoff))
-    return FockState2.from_amplitudes(table.astype(complex), check_deficit=_DEFICIT_LIMIT)
+    state = FockState2.from_amplitudes(table.astype(complex))
+    if state.norm_deficit > _DEFICIT_LIMIT:
+        raise CutoffTooSmallError(f"cutoff {cutoff} leaves too much of the state outside the basis", state.norm_deficit)
+    if state.norm_deficit < -table.size * _EPS or np.max(np.abs(table)) > 1.0:
+        raise CutoffTooSmallError(f"Fock series at cutoff {cutoff} cancels to noise for {params}", state.norm_deficit)
+    return state

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import fock
-from .bell import BellSetting, _chsh_from_wigner, bell_function
+from .bell import BellSetting, _chsh_from_wigner, _chsh_points, bell_function
 from .state import SqueezeParams, cf_closed, covariance, fock_amplitudes, log_negativity_closed, wigner_closed
 
 #: Settings at which the closed CHSH value is checked against the combination
@@ -39,17 +39,17 @@ def oracle_deviations(params: SqueezeParams, cutoff: int, points) -> dict[str, f
     """
     oracle = fock.build_state_exponential(params, cutoff)
     series = fock_amplitudes(params, cutoff)
-    sigma = covariance(params)
-    numeric = fock.covariance_numeric(oracle)
+    # the check points and the Bell points, each distinct point once, in one phase-space call
+    batch = list(dict.fromkeys([*points, *(pt for s in BELL_SETTINGS for pt, _ in _chsh_points(s))]))
+    wigner, cf = (dict(zip(batch, values.tolist())) for values in fock.phase_space(oracle, batch))
     return {
         "state-overlap": abs(1.0 - oracle.overlap(series)),
-        "covariance": float(np.max(np.abs(numeric.entries - sigma.entries))),
-        "wigner": max(abs(fock.wigner_numeric(oracle, pt) - wigner_closed(params, pt)) for pt in points),
-        "char-fn": max(abs(fock.cf_numeric(oracle, pt) - cf_closed(params, pt)) for pt in points),
+        "covariance": float(np.max(np.abs(fock.covariance_numeric(oracle).entries - covariance(params).entries))),
+        "wigner": max(abs(wigner[pt] - wigner_closed(params, pt)) for pt in points),
+        "char-fn": max(abs(cf[pt] - cf_closed(params, pt)) for pt in points),
         "log-negativity": abs(fock.log_negativity_numeric(oracle) - log_negativity_closed(params)),
         "bell-combination": max(
-            abs(bell_function(params, s).value - _chsh_from_wigner(lambda pt: fock.wigner_numeric(oracle, pt), s))
-            for s in BELL_SETTINGS
+            abs(bell_function(params, s).value - _chsh_from_wigner(wigner.__getitem__, s)) for s in BELL_SETTINGS
         ),
     }
 

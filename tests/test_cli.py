@@ -353,6 +353,14 @@ class TestValidationAndExitCodes:
         assert run_cli(["verify", "--cutoff", "12", "--lambda", "0.8", "--gamma", "0"]) == 2
         assert "cutoff" in capsys.readouterr().err
 
+    def test_verify_cancelled_series_surfaces(self, capsys):
+        # the oracle builds at this pair, but the Fock series cancels to noise and gains norm
+        assert run_cli(["verify", "--cutoff", "120", "--lambda", "1.2", "--gamma", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: Fock series at cutoff 120 cancels to noise for SqueezeParams(lam=1.2, gamma=1.0)"
+            " (norm deficit -2.166e-03)\n"
+        )
+
     def test_verify_deviations_are_nonnegative(self, capsys):
         # at this pair the oracle's norm exceeds 1 by rounding, so 1 - overlap is about -7e-16
         assert run_cli(["verify", "--cutoff", "40", "--lambda", "0.6", "--gamma", "-0.5"]) == 0

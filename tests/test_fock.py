@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -11,6 +12,7 @@ from asymsqueeze import (
     PhasePoint,
     SqueezeParams,
     ValidationError,
+    bell_function,
     build_state_exponential,
     cf_closed,
     cf_numeric,
@@ -20,10 +22,13 @@ from asymsqueeze import (
     fock_amplitudes,
     log_negativity,
     log_negativity_numeric,
+    phase_space,
     wigner_closed,
     wigner_numeric,
 )
-from asymsqueeze.fock import _chebyshev_weights, _displacements, _quadratures, destroy
+from asymsqueeze import fock, verify
+from asymsqueeze.bell import _chsh_from_wigner
+from asymsqueeze.fock import _chebyshev_weights, _quadrature_eigh, _quadratures
 
 
 def dense_state(params, cutoff):
@@ -46,23 +51,86 @@ class TestOperators:
         comm = q @ p - p @ q
         assert np.allclose(comm[:8, :8], 1j * np.eye(8), atol=1e-12)
 
+    @pytest.mark.parametrize("cutoff", [10, 21, 40, 80])
+    def test_quadrature_eigh_is_parity_symmetric(self, cutoff):
+        # the Wigner route needs O^T Pi O to be exactly the reversal; odd and even dims both occur
+        x, o = _quadrature_eigh(cutoff + 1)
+        q, _ = _quadratures(cutoff + 1)
+        assert np.array_equal(x[::-1], -x)
+        assert np.array_equal(((-1.0) ** np.arange(cutoff + 1))[:, None] * o, o[:, ::-1])
+        assert np.max(np.abs(o.T @ o - np.eye(cutoff + 1))) < 1e-13
+        assert np.max(np.abs(o @ np.diag(x) @ o.T - q)) < 1e-13
+
+
+def dense_displacement(cutoff, alpha):
+    """exp(alpha a' - alpha* a) from an eigh of its own generator i(alpha a' - alpha* a)."""
+    a = np.zeros((cutoff + 1, cutoff + 1))
+    for n in range(cutoff):
+        a[n, n + 1] = math.sqrt(n + 1)
+    w, u = np.linalg.eigh(1j * (alpha * a.T - np.conj(alpha) * a))
+    return u @ (np.exp(-1j * w)[:, None] * u.conj().T)
+
+
+def random_state(rng, cutoff):
+    table = rng.normal(size=(cutoff + 1, cutoff + 1)) + 1j * rng.normal(size=(cutoff + 1, cutoff + 1))
+    return FockState2.from_amplitudes(table / np.linalg.norm(table))
+
+
+class TestPhaseSpace:
     @pytest.mark.parametrize("cutoff", [10, 20, 40, 80])
-    def test_displacements_match_dense_eigh(self, cutoff):
-        # exp(alpha a' - alpha* a) from an eigh of its own generator i(alpha a' - alpha* a)
-        a = destroy(cutoff + 1)
-
-        def dense(alpha):
-            w, u = np.linalg.eigh(1j * (alpha * a.T - np.conj(alpha) * a))
-            return u @ (np.exp(-1j * w)[:, None] * u.conj().T)
-
+    def test_matches_dense_eigh_displacements(self, cutoff, rng):
+        # W = <psi| D Pi D^dag |psi> / pi^2 and CF = <psi| D1 D2 |psi> with dense displacements
+        # (A x B acts on the amplitude matrix as A C B^T), for a built state and a complex random one
         edge = cutoff / 4.0
         alphas = [0.0, -edge, 1j * edge, 0.4 - 0.2j, edge * np.exp(2.3j), 0.7 * edge * np.exp(-1.1j)]
-        for alpha, beta in zip(alphas, alphas[::-1]):
-            d1, d2 = _displacements(cutoff, PhasePoint.from_complex(alpha, beta))
-            assert np.max(np.abs(d1 - dense(alpha))) < 1e-13
-            assert np.max(np.abs(d2 - dense(beta))) < 1e-13
-            for d in (d1, d2):
-                assert np.max(np.abs(d @ d.conj().T - np.eye(cutoff + 1))) < 1e-13
+        points = [PhasePoint.from_complex(a, b) for a, b in zip(alphas, alphas[::-1])]
+        points.append(PhasePoint.from_complex(edge, -1j * edge))
+        parity = (-1.0) ** np.add.outer(np.arange(cutoff + 1), np.arange(cutoff + 1))
+        for state in (build_state_exponential(SqueezeParams(0.15, 0.5), cutoff), random_state(rng, cutoff)):
+            c = state.amplitudes
+            wigner, cf = phase_space(state, points)
+            for pt, w, chi in zip(points, wigner, cf):
+                d1, d2 = dense_displacement(cutoff, pt.alpha), dense_displacement(cutoff, pt.beta)
+                phi = d1.conj().T @ c @ d2.conj()
+                assert abs(w - np.sum(parity * np.abs(phi) ** 2) / math.pi ** 2) < 1e-13
+                assert abs(chi - np.sum(c.conj() * (d1 @ c @ d2.T))) < 1e-13
+
+    def test_one_point_calls_equal_batch_entries(self, rng):
+        state = random_state(rng, 30)
+        points = [PhasePoint(*rng.uniform(-2.0, 2.0, size=4)) for _ in range(9)] + [PhasePoint.origin()]
+        wigner, cf = phase_space(state, points)
+        for pt, w, chi in zip(points, wigner, cf):
+            assert wigner_numeric(state, pt) == w and type(wigner_numeric(state, pt)) is float
+            assert cf_numeric(state, pt) == chi and type(cf_numeric(state, pt)) is complex
+
+    def test_guard_checks_every_point_before_any_work(self, monkeypatch, rng):
+        state = random_state(rng, 20)
+        points = [PhasePoint.origin(), PhasePoint.from_complex(0.3, 5.0), PhasePoint.from_complex(0.0, 5.01)]
+        monkeypatch.setattr(fock, "_quadrature_eigh", None)  # any evaluation would fail on it
+        with pytest.raises(ValidationError, match=r"cutoff/4 = 5\.0"):
+            phase_space(state, points)
+
+    def test_verify_evaluates_each_point_once(self, monkeypatch, rng):
+        # verify's check points and the 2 x 4 Bell points, (0, 0) shared, in one call; the values
+        # are those of the one-point calls
+        params = SqueezeParams(0.3, 0.7)
+        points = [PhasePoint(*rng.uniform(-0.5, 0.5, size=4)) for _ in range(6)]
+        batches = []
+
+        def recording(state, batch):
+            batches.append(list(batch))
+            return phase_space(state, batch)
+
+        monkeypatch.setattr(fock, "phase_space", recording)
+        deviations = verify.oracle_deviations(params, 26, points)
+        assert len(batches) == 1 and len(batches[0]) == len(set(batches[0])) == len(points) + 7
+        oracle = build_state_exponential(params, 26)
+        wigner = functools.partial(wigner_numeric, oracle)
+        assert deviations["wigner"] == max(abs(wigner(pt) - wigner_closed(params, pt)) for pt in points)
+        assert deviations["char-fn"] == max(abs(cf_numeric(oracle, pt) - cf_closed(params, pt)) for pt in points)
+        assert deviations["bell-combination"] == max(
+            abs(bell_function(params, s).value - _chsh_from_wigner(wigner, s)) for s in verify.BELL_SETTINGS
+        )
 
 
 class TestStateConstruction:

@@ -1,8 +1,10 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from _oracles import coefficients_50_digits
 
 from asymsqueeze import (
     Coefficients,
@@ -24,6 +26,7 @@ from asymsqueeze import (
     wigner_closed,
     wigner_of_covariance,
 )
+from asymsqueeze import _kernels
 
 
 def random_params(rng, lam_hi=1.5, gamma_hi=2.0):
@@ -331,3 +334,40 @@ class TestFockAmplitudes:
     def test_rejects_tiny_cutoff(self):
         with pytest.raises(ValidationError):
             fock_amplitudes(SqueezeParams(0.3, 0.0), 1)
+
+    @pytest.mark.parametrize("lam, gamma", [(1e-4, 1e-4), (1e-6, 1.0), (0.5, 1e-8), (1e-3, 0.5)])
+    def test_single_mode_amplitudes_keep_relative_precision(self, lam, gamma):
+        # c02 = -c20 = (2/sqrt(L)) sqrt(2) A with A = (m1 - m2)/(2L), where m1 - m2 is tiny against m1 ~ m2
+        m1, m2, _, _ = coefficients_50_digits(lam, gamma)
+        with mpmath.workdps(50):
+            big_l = m1 + m2 + 2
+            exact = float(2 / mpmath.sqrt(big_l) * mpmath.sqrt(2) * (m1 - m2) / (2 * big_l))
+        c = fock_amplitudes(SqueezeParams(lam, gamma), 20).amplitudes.real
+        assert abs(c[0, 2] - exact) <= 1e-14 * abs(exact)
+        assert c[2, 0] == -c[0, 2]
+
+    @pytest.mark.parametrize("lam, gamma, cutoff", [(1.0, 1.0, 150), (1.2, 1.0, 120), (1.0, 2.0, 200)])
+    def test_series_cancelled_to_noise_raises(self, lam, gamma, cutoff):
+        # the alternating series gains norm here: deficits -1.5e-3, -2.2e-3 and -4.6e7 (max |c| 1.9e3)
+        message = (
+            rf"^Fock series at cutoff {cutoff} cancels to noise for SqueezeParams\(lam={lam}, gamma={gamma}\)"
+            r" \(norm deficit -"
+        )
+        with pytest.raises(CutoffTooSmallError, match=message) as info:
+            fock_amplitudes(SqueezeParams(lam, gamma), cutoff)
+        assert info.value.deficit < -1e-3
+
+    def test_amplitude_above_one_raises(self, monkeypatch):
+        # |c00| = 1 + 4 eps leaves a deficit of about -8 eps, inside the -(cutoff+1)^2 eps rounding allowance
+        table = np.zeros((9, 9))
+        table[0, 0] = 1.0 + 4 * np.finfo(float).eps
+        monkeypatch.setattr(_kernels, "fock_series_table", lambda *args: table)
+        with pytest.raises(CutoffTooSmallError, match="cancels to noise"):
+            fock_amplitudes(SqueezeParams(0.1, 0.0), 8)
+
+    @pytest.mark.parametrize(
+        "lam, gamma, cutoff", [(0.3, 0.7, 40), (0.5, 1.0, 40), (0.6, -0.5, 40), (0.45, 0.0, 40), (0.5, -1.0, 30)]
+    )
+    def test_deficits_of_good_cutoffs_pass(self, lam, gamma, cutoff):
+        deficit = fock_amplitudes(SqueezeParams(lam, gamma), cutoff).norm_deficit
+        assert -((cutoff + 1) ** 2) * np.finfo(float).eps <= deficit <= 1e-6
