@@ -19,7 +19,6 @@ from .bell import (
 from .errors import (
     CutoffTooSmallError,
     InvalidCovarianceError,
-    PurityError,
     QuadratureDomainError,
     ValidationError,
     VerificationError,
@@ -37,9 +36,7 @@ from .gaussian import (
     SYMPLECTIC_FORM,
     CovarianceMatrix,
     PhasePoint,
-    cf_of_covariance,
     log_negativity,
-    wigner_of_covariance,
 )
 from .state import (
     GAMMA_MAX,

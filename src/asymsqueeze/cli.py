@@ -225,10 +225,14 @@ def _cmd_verify(args):
 
 
 def _passing_cutoff(params, cutoff, points):
-    """The smallest of cutoff+5, cutoff+10, ..., 2*cutoff at which every check passes, as text."""
+    """The smallest of cutoff+5, cutoff+10, ..., 2*cutoff at which every check passes, as text;
+    the search stops at the first whose states cannot be built, and names its error."""
     for larger in range(cutoff + 5, 2 * cutoff + 1, 5):
-        if not breached(oracle_deviations(params, larger, points)):
-            return f"cutoff {larger} passes"
+        try:
+            if not breached(oracle_deviations(params, larger, points)):
+                return f"cutoff {larger} passes"
+        except CutoffTooSmallError as exc:
+            return f"no cutoff up to {larger - 5} passes, and cutoff {larger} fails: {exc}"
     return f"no cutoff up to {2 * cutoff} passes"
 
 

@@ -9,10 +9,6 @@ class InvalidCovarianceError(ValidationError):
     """Matrix is not a physical two-mode covariance matrix."""
 
 
-class PurityError(ValidationError):
-    """Covariance matrix does not describe a pure two-mode state."""
-
-
 class CutoffTooSmallError(RuntimeError):
     """Truncated Fock space cannot hold the state to the requested accuracy."""
 

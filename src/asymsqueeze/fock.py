@@ -193,12 +193,12 @@ def covariance_numeric(state: FockState2) -> CovarianceMatrix:
 def phase_space(state: FockState2, points) -> tuple[np.ndarray, np.ndarray]:
     """Wigner function and CF <psi| D1(alpha) D2(beta) |psi> at each of ``points``.
 
-    One transform of the amplitude matrix per point (module docstring); no entry
-    depends on the rest of the batch, and every point passes the cutoff/4 guard first.
+    One transform of the amplitude matrix per point (module docstring); no entry depends
+    on the rest of the batch, and every point passes the cutoff/4 guard first, NaN failing it.
     """
     bound = state.cutoff / 4.0
     pairs = [(pt.alpha, pt.beta) for pt in points]
-    if any(abs(z) > bound for pair in pairs for z in pair):
+    if not all(abs(z) <= bound for pair in pairs for z in pair):
         raise ValidationError(f"displacement magnitude exceeds cutoff/4 = {bound}; enlarge the basis")
     x, o = _quadrature_eigh(state.cutoff + 1)
     turn, w = -1j * np.arange(state.cutoff + 1), -1j * math.sqrt(2.0) * x

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCovarianceError, PurityError
+from .errors import InvalidCovarianceError
 
 #: Symplectic form in (q1, p1, q2, p2) ordering: [[0, 1], [-1, 0]] per mode.
 SYMPLECTIC_FORM = np.array(
@@ -99,10 +99,6 @@ class PhasePoint:
     def beta(self):
         return complex(self.q2, self.p2) / math.sqrt(2.0)
 
-    @property
-    def vector(self):
-        return np.array([self.q1, self.p1, self.q2, self.p2])
-
     @classmethod
     def origin(cls):
         return cls(0.0, 0.0, 0.0, 0.0)
@@ -127,36 +123,3 @@ def log_negativity(cov):
     n_plus_sq = 0.5 * (delta + math.sqrt(max(disc, 0.0)))
     return max(0.0, -math.log(2.0 * math.sqrt(det_sigma / n_plus_sq)))
 
-
-def wigner_of_covariance(cov, point):
-    """Wigner density (1/pi^2) exp[-x^T sigma^{-1} x / 2] of a pure state.
-
-    A pure state has sigma^{-1} = 4 K (Weedbrook et al., RMP 84, 621, 2012),
-    with K = Omega^T sigma Omega the kernel of ``cf_of_covariance``, so nothing
-    is inverted.  That identity and the fixed 1/pi^2 prefactor need det sigma
-    = 1/16, so purity is asserted rather than generalized to mixed states.  The
-    gate allows 1e-6 or det sigma's rounding error, whichever is larger: eps
-    |sigma_ij C_ij| per entry, times 4n = 16 for the LU, with the cofactors
-    C = det sigma * sigma^{-1} taken as K/4, their value at det sigma = 1/16.
-    """
-    kernel = SYMPLECTIC_FORM.T @ cov.entries @ SYMPLECTIC_FORM
-    det = cov.determinant
-    rounding = 4.0 * np.finfo(float).eps * np.sum(np.abs(cov.entries * kernel))
-    if abs(det - 1.0 / 16.0) > max(1e-6, rounding):
-        raise PurityError(f"det sigma = {det:.9e} != 1/16: the state is not pure")
-    x = point.vector
-    return math.exp(-2.0 * float(x @ kernel @ x)) / math.pi ** 2
-
-
-def cf_of_covariance(cov, point):
-    """Symmetric-order characteristic function of a zero-mean Gaussian state.
-
-    chi(x) = exp[-x^T (Omega^T sigma Omega) x / 2]: the quadratic kernel is
-    the symplectically rotated covariance, because the displacement-operator
-    exponent i(p Q - q P) couples to the quadratures through the symplectic
-    form.  For a pure state the kernel equals sigma^{-1}/4.  Real-valued and
-    <= 1, with equality only at the origin.
-    """
-    x = point.vector
-    kernel = SYMPLECTIC_FORM.T @ cov.entries @ SYMPLECTIC_FORM
-    return math.exp(-0.5 * float(x @ kernel @ x))

@@ -15,7 +15,8 @@ All closed forms in this module are driven by three exponent coefficients
     m2 = cosh^2(lam) + e^{-2 gamma} sinh^2(lam)
     m3 = cosh(gamma) sinh(2 lam)
 
-which satisfy the purity identity m1 m2 - m3^2 = 1.
+which satisfy the purity identity m1 m2 - m3^2 = 1; that identity and every closed
+form's algebra, from the generator on, are proven in ``tests/test_certificate.py``.
 """
 
 from __future__ import annotations
@@ -176,9 +177,9 @@ def _wigner_exponent(params, point):
 def wigner_closed(params: SqueezeParams, point: PhasePoint) -> float:
     """Closed-form Wigner density at a phase-space point.
 
-    W = (1/pi^2) exp[-m1 (q1^2 + p2^2) - m2 (p1^2 + q2^2)
-                      + 2 m3 (q1 q2 - p1 p2)]
-    Agrees with the generic Gaussian form driven by ``covariance`` to 1e-12.
+    W = (1/pi^2) exp[-m1 (q1^2 + p2^2) - m2 (p1^2 + q2^2) + 2 m3 (q1 q2 - p1 p2)]
+      = exp(-x^T sigma^{-1} x / 2) / pi^2 with sigma = ``covariance`` (proven symbolically),
+    to W (8 eps Sigma + 4 eps) in floating point, Sigma the size of the exponent's terms.
     """
     return math.exp(_wigner_exponent(params, point)) / math.pi ** 2
 
@@ -188,9 +189,9 @@ def log_negativity_closed(params: SqueezeParams) -> float:
 
     For this pure state the smallest partially transposed symplectic
     eigenvalue is n_min = (sqrt(1 + m3^2) - m3)/2, so -ln(2 n_min) =
-    ln(m3 + sqrt(1 + m3^2)); m3 >= 0 keeps it non-negative.
-    Agrees with the generic ``log_negativity(covariance(params))`` route, but
-    carries none of its determinant cancellation at large lam and |gamma|.
+    ln(m3 + sqrt(1 + m3^2)); m3 >= 0 keeps it non-negative (proven symbolically).
+    It holds 50 digits to 1e-14 max(1, E_N), free of the determinant cancellation
+    of the generic ``log_negativity(covariance(params))`` at large lam and |gamma|.
     """
     return math.asinh(coefficients(params).m3)
 
@@ -199,8 +200,8 @@ def cf_closed(params: SqueezeParams, point: PhasePoint) -> float:
     """Closed-form symmetric-order characteristic function exp(-Q/4), pi^2 W = exp(-Q).
 
     A pure state has sigma^{-1} = 4 Omega sigma Omega^T, so the CF's kernel
-    Omega^T sigma Omega is sigma^{-1}/4.  Q's own terms, of size Sigma, hold the
-    CF to CF (2 eps Sigma + 4 eps); it agrees with ``cf_of_covariance`` to 1e-12.
+    Omega^T sigma Omega is sigma^{-1}/4, proven symbolically.  Q's own terms, of
+    size Sigma, hold the CF to CF (2 eps Sigma + 4 eps).
     """
     return math.exp(_wigner_exponent(params, point) / 4.0)
 

@@ -58,15 +58,36 @@ def random_physical_cov(rng, mixed=True, scale=0.4):
     return s @ base @ s.T
 
 
+def wigner_of_covariance(sigma, point):
+    """Gaussian Wigner density exp[-x^T sigma^{-1} x / 2] / ((2 pi)^2 sqrt(det sigma)) by a generic
+    solve and determinant, so it holds for mixed states too and uses no pure-state identity."""
+    sigma = np.asarray(sigma, dtype=float)
+    x = np.array([point.q1, point.p1, point.q2, point.p2])
+    return float(np.exp(-0.5 * x @ np.linalg.solve(sigma, x))) / (
+        (2.0 * np.pi) ** 2 * np.sqrt(np.linalg.det(sigma))
+    )
+
+
+def cf_of_covariance(sigma, point):
+    """Symmetric-order characteristic function exp[-x^T (Omega^T sigma Omega) x / 2]."""
+    x = np.array([point.q1, point.p1, point.q2, point.p2])
+    return float(np.exp(-0.5 * x @ OMEGA.T @ np.asarray(sigma, dtype=float) @ OMEGA @ x))
+
+
+def coefficient_formulas(ns, lam, gamma):
+    """(m1, m2, m3, f) from the hyperbolics of (lam, gamma) directly, with the cosh, sinh and exp of
+    ``ns`` (``mpmath`` or ``sympy``): m1, m2 = cosh^2 lam + e^{+-2 gamma} sinh^2 lam,
+    m3 = cosh gamma sinh 2 lam and f = m3 - cosh^2 lam - cosh 2gamma sinh^2 lam."""
+    c2, s2 = ns.cosh(lam) ** 2, ns.sinh(lam) ** 2
+    m3 = ns.cosh(gamma) * ns.sinh(2 * lam)
+    return c2 + ns.exp(2 * gamma) * s2, c2 + ns.exp(-2 * gamma) * s2, m3, m3 - c2 - ns.cosh(2 * gamma) * s2
+
+
 def coefficients_50_digits(lam, gamma):
-    """(m1, m2, m3, f) of the state as 50-digit mpf, from the hyperbolics of (lam, gamma) directly:
-    m1, m2 = cosh^2 lam + e^{+-2 gamma} sinh^2 lam, m3 = cosh gamma sinh 2 lam and
-    f = m3 - cosh^2 lam - cosh 2gamma sinh^2 lam.  Take functions of them at 50 digits too."""
+    """``coefficient_formulas`` as 50-digit mpf, the formulas ``test_certificate`` proves.
+    Take functions of them at 50 digits too."""
     with mpmath.workdps(50):
-        lam, gamma = mpmath.mpf(float(lam)), mpmath.mpf(float(gamma))
-        c2, s2 = mpmath.cosh(lam) ** 2, mpmath.sinh(lam) ** 2
-        m3 = mpmath.cosh(gamma) * mpmath.sinh(2 * lam)
-        return c2 + mpmath.exp(2 * gamma) * s2, c2 + mpmath.exp(-2 * gamma) * s2, m3, m3 - c2 - mpmath.cosh(2 * gamma) * s2
+        return coefficient_formulas(mpmath, mpmath.mpf(float(lam)), mpmath.mpf(float(gamma)))
 
 
 def chsh_maximum_50_digits(lam, gamma):

@@ -9,6 +9,7 @@ import pytest
 
 from asymsqueeze import (
     BellSetting,
+    CutoffTooSmallError,
     SqueezeParams,
     ValidationError,
     __version__,
@@ -389,6 +390,24 @@ class TestValidationAndExitCodes:
         assert run_cli(["verify", "--cutoff", "20", "--lambda", "0.3", "--gamma", "0.7"]) == 2
         assert capsys.readouterr().err == (
             "error: tolerance breached by: covariance at (0.3, 0.7), cutoff 20; no cutoff up to 40 passes\n"
+        )
+
+    def test_verify_breach_report_names_a_cutoff_that_cannot_be_built(self, monkeypatch, capsys):
+        # the search for a passing cutoff ends at the first one whose states cannot be built, and the
+        # report keeps the breach (as at (1.0, 1.0), cutoff 80, whose search meets the series' gate at 120)
+        monkeypatch.setitem(verify.TOLERANCES, "covariance", 0.0)
+        deviations = cli.oracle_deviations
+
+        def unbuildable_from_30(params, cutoff, points):
+            if cutoff >= 30:
+                raise CutoffTooSmallError(f"Fock series at cutoff {cutoff} cancels to noise", -1e-3)
+            return deviations(params, cutoff, points)
+
+        monkeypatch.setattr(cli, "oracle_deviations", unbuildable_from_30)
+        assert run_cli(["verify", "--cutoff", "20", "--lambda", "0.3", "--gamma", "0.7"]) == 2
+        assert capsys.readouterr().err == (
+            "error: tolerance breached by: covariance at (0.3, 0.7), cutoff 20; no cutoff up to 25 passes,"
+            " and cutoff 30 fails: Fock series at cutoff 30 cancels to noise (norm deficit -1.000e-03)\n"
         )
 
     def test_io_failure(self):

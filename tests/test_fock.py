@@ -109,6 +109,8 @@ class TestPhaseSpace:
         monkeypatch.setattr(fock, "_quadrature_eigh", None)  # any evaluation would fail on it
         with pytest.raises(ValidationError, match=r"cutoff/4 = 5\.0"):
             phase_space(state, points)
+        with pytest.raises(ValidationError, match=r"cutoff/4 = 5\.0"):
+            phase_space(state, [PhasePoint.origin(), PhasePoint(math.nan, 0.0, 0.0, 0.0)])
 
     def test_verify_evaluates_each_point_once(self, monkeypatch, rng):
         # verify's check points and the 2 x 4 Bell points, (0, 0) shared, in one call; the values
