@@ -57,10 +57,13 @@ def fock_series_table(a_coeff, b_coeff, norm, cutoff):
     for m in range(d):
         for k in range(m % 2, m + 1, 2):
             i = (m - k) // 2
-            sq = math.exp(0.5 * (math.lgamma(m + 1) - math.lgamma(k + 1)))
-            fi = math.factorial(i)
-            sa[m, k] = (-a_coeff) ** i / fi * sq
-            sb[m, k] = a_coeff ** i / fi * sq
+            log_sq = 0.5 * (math.lgamma(m + 1) - math.lgamma(k + 1))
+            try:
+                sb[m, k] = a_coeff ** i / math.factorial(i) * math.exp(log_sq)
+            except OverflowError:  # sqrt(m!/k!) or i! overflows (m > 300): by logarithms, inf past the range
+                log = i * math.log(abs(a_coeff)) + log_sq - math.lgamma(i + 1) if a_coeff else -math.inf
+                sb[m, k] = math.copysign(math.exp(log) if log < 709.0 else math.inf, a_coeff ** i)
+            sa[m, k] = (-1) ** i * sb[m, k]
     bk = b_coeff ** np.arange(d)
     return norm * (sa * bk) @ sb.T
 

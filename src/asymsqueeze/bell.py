@@ -17,7 +17,7 @@ of the log-negativity alone.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import _kernels
 from .errors import ValidationError
@@ -60,24 +60,25 @@ class BellSetting:
 
 @dataclass(frozen=True)
 class BellValue:
-    value: float
-    violates: bool
+    """A CHSH value; ``violates`` is |value| > 2, the local bound, derived from it."""
 
-    @classmethod
-    def of(cls, value):
-        value = float(value)
-        return cls(value=value, violates=abs(value) > 2.0)
+    value: float
+    violates: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "violates", abs(self.value) > 2.0)
 
 
 def bell_function(params: SqueezeParams, setting: BellSetting) -> BellValue:
     """Closed-form CHSH combination (the four-exponential expression)."""
     c = coefficients(params)
-    return BellValue.of(_kernels.bell_values(c.m1, c.m2, c.m3, setting.j, setting.theta, setting.phi))
+    return BellValue(_kernels.bell_values(c.m1, c.m2, c.m3, setting.j, setting.theta, setting.phi))
 
 
 def bell_from_wigner(params: SqueezeParams, setting: BellSetting) -> BellValue:
     """CHSH combination assembled from four closed-form Wigner evaluations."""
-    return BellValue.of(_chsh_from_wigner(lambda point: wigner_closed(params, point), setting))
+    return BellValue(_chsh_from_wigner(lambda point: wigner_closed(params, point), setting))
 
 
 def _chsh_points(setting: BellSetting):

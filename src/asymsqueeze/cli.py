@@ -24,7 +24,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,13 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-@dataclass
-class Axis:
-    name: str
-    values: np.ndarray
-    swept: bool
-
-
 def _parse_axis(name, text):
     lo, hi = _AXIS_BOUNDS[name]
 
@@ -85,19 +77,19 @@ def _parse_axis(name, text):
             raise ValidationError(f"--{name}: range needs min < max, got {a} >= {b}")
         check(a)
         check(b)
-        return Axis(name, np.linspace(a, b, n), swept=True)
+        return np.linspace(a, b, n)
     try:
         v = float(text)
     except ValueError:
         raise ValidationError(f"--{name}: cannot parse value {text!r}") from None
-    return Axis(name, np.array([check(v)]), swept=False)
+    return np.array([check(v)])
 
 
 def _write_output(path, fmt, quantity, source, axes, values):
-    swept = [ax for ax in axes if ax.swept]
-    fixed = {ax.name: float(ax.values[0]) for ax in axes if not ax.swept}
-    columns = {ax.name: ax.values for ax in swept}
-    columns[quantity] = values.ravel()
+    """``values`` over the grid of the ranged ``axes`` (name -> values); single values go to the metadata."""
+    swept = {name: axis for name, axis in axes.items() if axis.size > 1}
+    fixed = {name: float(axis[0]) for name, axis in axes.items() if axis.size == 1}
+    columns = {**swept, quantity: values.ravel()}
     names = list(columns)
     if fmt == "csv":
         meta_bits = [f"quantity={quantity}", f"source={source}", f"version={__version__}"]
@@ -121,8 +113,8 @@ def _write_output(path, fmt, quantity, source, axes, values):
     for name in names:
         pre, post = key.format(name), field_sep if name != names[-1] else row_sep
         texts[name] = _cells(columns[name], pre + cell + post, {pre + t + post: test for t, test in special.items()})
-    grid = dict(zip([ax.name for ax in swept], np.ix_(*[texts[ax.name] for ax in swept])))
-    grid[quantity] = texts[quantity].reshape([ax.values.size for ax in swept] or [1])
+    grid = dict(zip(swept, np.ix_(*[texts[name] for name in swept])))
+    grid[quantity] = texts[quantity].reshape([axis.size for axis in swept.values()] or [1])
     fields = np.broadcast_arrays(*[grid[name] for name in names])
     text = head + "".join(np.stack(fields, axis=-1).ravel().tolist()).removesuffix(row_sep) + tail
 
@@ -153,8 +145,8 @@ def _cells(values, template, special):
 
 def _pair_sweep(args):
     """The lambda and gamma axes, and the coefficients over their grid, lambda along the first axis."""
-    axes = [_parse_axis("lambda", args.lam), _parse_axis("gamma", args.gamma)]
-    return axes, coefficients_grid(axes[0].values, axes[1].values)
+    axes = {"lambda": _parse_axis("lambda", args.lam), "gamma": _parse_axis("gamma", args.gamma)}
+    return axes, coefficients_grid(axes["lambda"], axes["gamma"])
 
 
 def _cmd_negativity(args):
@@ -166,14 +158,14 @@ def _cmd_negativity(args):
 
 
 def _cmd_bell(args):
-    pair_axes, coeffs = _pair_sweep(args)
-    setting_axes = [_parse_axis("j", args.j), _parse_axis("theta", args.theta), _parse_axis("phi", args.phi)]
+    axes, coeffs = _pair_sweep(args)
+    axes.update((name, _parse_axis(name, getattr(args, name))) for name in ("j", "theta", "phi"))
     m1, m2, m3 = (m[:, :, None, None, None] for m in (coeffs.m1, coeffs.m2, coeffs.m3))
-    j, theta, phi = np.meshgrid(*[ax.values for ax in setting_axes], indexing="ij", sparse=True)
+    j, theta, phi = np.meshgrid(axes["j"], axes["theta"], axes["phi"], indexing="ij", sparse=True)
     vals = _kernels.bell_values(m1, m2, m3, j, theta, phi)
     if args.clip_at_2:
         vals = np.where(vals > 2.0, vals, np.nan)
-    _write_output(args.output, args.format, "bell", "displaced-parity-closed-form", pair_axes + setting_axes, vals)
+    _write_output(args.output, args.format, "bell", "displaced-parity-closed-form", axes, vals)
     return 0
 
 

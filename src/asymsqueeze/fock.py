@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,19 +71,22 @@ def _quadrature_eigh(dim):
 class FockState2:
     """Truncated two-mode state: amplitude tensor c[m, n], 0 <= m, n <= cutoff.
 
-    ``norm_deficit`` is 1 - sum |c|^2, the mass lost to truncation; amplitudes
-    are never renormalized to hide it.
+    ``cutoff`` and ``norm_deficit`` = 1 - sum |c|^2 (truncation loss, never renormalized away)
+    are read off the table; a deficit below -(cutoff+1)^2 eps (the sum's rounding), any
+    |c| > 1 or a NaN raises CutoffTooSmallError, as no truncated unit vector has one.
     """
 
-    cutoff: int
+    cutoff: int = field(init=False)
     amplitudes: np.ndarray
-    norm_deficit: float
+    norm_deficit: float = field(init=False)
 
-    @classmethod
-    def from_amplitudes(cls, table):
-        table = np.asarray(table, dtype=complex)
+    def __post_init__(self):
+        table = np.asarray(self.amplitudes, dtype=complex)
         deficit = float(1.0 - np.sum(np.abs(table) ** 2))
-        return cls(cutoff=table.shape[0] - 1, amplitudes=table, norm_deficit=deficit)
+        for name, value in (("cutoff", table.shape[0] - 1), ("amplitudes", table), ("norm_deficit", deficit)):
+            object.__setattr__(self, name, value)
+        if not (deficit >= -table.size * _EPS and np.max(np.abs(table)) <= 1.0):
+            raise CutoffTooSmallError("amplitudes do not form a truncated unit vector", deficit)
 
     def edge_mass(self) -> float:
         """Probability mass in the outermost two rows/columns.
@@ -161,7 +164,7 @@ def build_state_exponential(params: SqueezeParams, cutoff: int) -> FockState2:
         prev += step if k else 0.5 * step  # phi_1 = (1/R)(-i G) phi_0, as prev starts at 0
         prev, cur = cur, prev
         c += weight * cur
-    state = FockState2.from_amplitudes(c)
+    state = FockState2(c)
     damage, measure = max((state.norm_deficit, "norm deficit"), (state.edge_mass(), "edge mass"))
     if damage > _DEFICIT_LIMIT:
         raise CutoffTooSmallError(
@@ -172,9 +175,7 @@ def build_state_exponential(params: SqueezeParams, cutoff: int) -> FockState2:
 
 def _require_converged(state):
     if state.norm_deficit > _ORACLE_DEFICIT:
-        raise CutoffTooSmallError(
-            "oracle requires a state with norm deficit below 1e-8", state.norm_deficit
-        )
+        raise CutoffTooSmallError("oracle requires a state with norm deficit below 1e-8", state.norm_deficit)
 
 
 def covariance_numeric(state: FockState2) -> CovarianceMatrix:
@@ -194,8 +195,10 @@ def phase_space(state: FockState2, points) -> tuple[np.ndarray, np.ndarray]:
     """Wigner function and CF <psi| D1(alpha) D2(beta) |psi> at each of ``points``.
 
     One transform of the amplitude matrix per point (module docstring); no entry depends
-    on the rest of the batch, and every point passes the cutoff/4 guard first, NaN failing it.
+    on the rest of the batch; the state passes the readers' norm-deficit gate first, and
+    every point the cutoff/4 guard, NaN failing it.
     """
+    _require_converged(state)
     bound = state.cutoff / 4.0
     pairs = [(pt.alpha, pt.beta) for pt in points]
     if not all(abs(z) <= bound for pair in pairs for z in pair):

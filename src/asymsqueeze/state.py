@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import CutoffTooSmallError, ValidationError
-from .fock import _DEFICIT_LIMIT, _EPS, FockState2
+from .fock import _DEFICIT_LIMIT, FockState2
 from .gaussian import CovarianceMatrix
 
 if TYPE_CHECKING:
@@ -263,9 +263,9 @@ def fock_amplitudes(params: SqueezeParams, cutoff: int) -> FockState2:
     m1 + m2 + 2 = 4 (cosh^2 lam + sinh^2 gamma sinh^2 lam) and m1 - m2 =
     2 sinh(2 gamma) sinh^2 lam, the form A is taken in (it cannot cancel).  A
     deficit 1 - sum |c|^2 above ``fock._DEFICIT_LIMIT`` (1e-6) raises
-    CutoffTooSmallError, and so does one below -(cutoff+1)^2 eps, the rounding of
-    the sum, or any |c| > 1: "Fock series at cutoff ... cancels to noise for ...",
-    as the alternating terms do at large cutoffs for |A| above about 0.3.
+    CutoffTooSmallError, and so does a table ``FockState2`` refuses: "Fock series at
+    cutoff ... cancels to noise for ...", as the alternating terms do at large cutoffs
+    for |A| above about 0.3.
     """
     if cutoff < 2:
         raise ValidationError(f"cutoff must be >= 2, got {cutoff}")
@@ -273,10 +273,11 @@ def fock_amplitudes(params: SqueezeParams, cutoff: int) -> FockState2:
     big_l = c.m1 + c.m2 + 2.0
     a_coeff = math.sinh(2.0 * params.gamma) * math.sinh(params.lam) ** 2 / big_l
     b_coeff = 2.0 * c.m3 / big_l
-    table = _kernels.fock_series_table(a_coeff, b_coeff, 2.0 / math.sqrt(big_l), int(cutoff))
-    state = FockState2.from_amplitudes(table.astype(complex))
+    try:
+        state = FockState2(_kernels.fock_series_table(a_coeff, b_coeff, 2.0 / math.sqrt(big_l), int(cutoff)))
+    except CutoffTooSmallError as exc:
+        noise = f"Fock series at cutoff {cutoff} cancels to noise for {params}"
+        raise CutoffTooSmallError(noise, exc.deficit) from None
     if state.norm_deficit > _DEFICIT_LIMIT:
         raise CutoffTooSmallError(f"cutoff {cutoff} leaves too much of the state outside the basis", state.norm_deficit)
-    if state.norm_deficit < -table.size * _EPS or np.max(np.abs(table)) > 1.0:
-        raise CutoffTooSmallError(f"Fock series at cutoff {cutoff} cancels to noise for {params}", state.norm_deficit)
     return state

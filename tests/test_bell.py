@@ -84,9 +84,12 @@ class TestSetting:
             BellSetting(j=0.1, **angles)
 
     def test_violation_flag(self):
-        assert BellValue.of(2.1).violates
-        assert not BellValue.of(2.0).violates
-        assert BellValue.of(-2.3).violates
+        assert BellValue(2.1).violates
+        assert not BellValue(2.0).violates
+        assert BellValue(-2.3).violates
+        assert BellValue(3.0).violates
+        with pytest.raises(TypeError):
+            BellValue(3.0, False)
 
     def test_violation_flag_is_a_bool(self):
         p = SqueezeParams(1.0, 0.0)

@@ -133,14 +133,14 @@ class TestSweepOutputs:
 
 def reference_write(path, fmt, quantity, source, axes, values):
     """The writer's bytes, one row at a time: every coordinate formatted per row, JSON via a list of dicts."""
-    swept = [ax for ax in axes if ax.swept]
-    fixed = {ax.name: float(ax.values[0]) for ax in axes if not ax.swept}
-    coords = [g.ravel() for g in np.meshgrid(*[ax.values for ax in swept], indexing="ij")] if swept else []
+    swept = {name: axis for name, axis in axes.items() if axis.size > 1}
+    fixed = {name: float(axis[0]) for name, axis in axes.items() if axis.size == 1}
+    coords = [g.ravel() for g in np.meshgrid(*swept.values(), indexing="ij")] if swept else []
     flat = values.ravel()
     if fmt == "csv":
         meta_bits = [f"quantity={quantity}", f"source={source}", f"version={__version__}"]
         meta_bits += [f"{k}={v:.17g}" for k, v in sorted(fixed.items())]
-        lines = ["# " + " ".join(meta_bits), ",".join([ax.name for ax in swept] + [quantity])]
+        lines = ["# " + " ".join(meta_bits), ",".join([*swept, quantity])]
         for i in range(flat.size):
             row = [f"{c[i]:.17g}" for c in coords]
             row.append("" if np.isnan(flat[i]) else f"{float(flat[i]):.17g}")
@@ -149,7 +149,7 @@ def reference_write(path, fmt, quantity, source, axes, values):
     else:
         records = []
         for i in range(flat.size):
-            rec = {ax.name: float(c[i]) for ax, c in zip(swept, coords)}
+            rec = {name: float(c[i]) for name, c in zip(swept, coords)}
             rec[quantity] = None if np.isnan(flat[i]) else float(flat[i])
             records.append(rec)
         meta = {"quantity": quantity, "source": source, "version": __version__, "fixed": fixed}
@@ -202,8 +202,7 @@ class TestWriterBytes:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_values_match_reference(self, fmt, tmp_path):
         # no sweep yields an infinity; the writer is handed one directly
-        axes = [cli.Axis("lambda", np.array([0.5]), swept=False),
-                cli.Axis("j", np.linspace(0.0, 0.3, 4), swept=True)]
+        axes = {"lambda": np.array([0.5]), "j": np.linspace(0.0, 0.3, 4)}
         values = np.array([2.5, np.nan, np.inf, -np.inf])
         out, ref = tmp_path / "out", tmp_path / "ref"
         cli._write_output(str(out), fmt, "bell", "test", axes, values)
@@ -224,7 +223,7 @@ def per_point_writer(value):
     grid point instead, one library call each, through the row-by-row reference writer."""
 
     def write(path, fmt, quantity, source, axes, values):
-        coords = [g.ravel().tolist() for g in np.meshgrid(*[ax.values for ax in axes], indexing="ij")]
+        coords = [g.ravel().tolist() for g in np.meshgrid(*axes.values(), indexing="ij")]
         flat = [value(SqueezeParams(lam, gamma), *rest) for lam, gamma, *rest in zip(*coords)]
         reference_write(path, fmt, quantity, source, axes, np.array(flat, dtype=float))
 

@@ -30,6 +30,8 @@ from asymsqueeze import fock, verify
 from asymsqueeze.bell import _chsh_from_wigner
 from asymsqueeze.fock import _chebyshev_weights, _quadrature_eigh, _quadratures
 
+EPS = np.finfo(float).eps
+
 
 def dense_state(params, cutoff):
     """exp(-i G)|00> by eigen-decomposition of the kron-built joint-space generator."""
@@ -73,7 +75,7 @@ def dense_displacement(cutoff, alpha):
 
 def random_state(rng, cutoff):
     table = rng.normal(size=(cutoff + 1, cutoff + 1)) + 1j * rng.normal(size=(cutoff + 1, cutoff + 1))
-    return FockState2.from_amplitudes(table / np.linalg.norm(table))
+    return FockState2(table / np.linalg.norm(table))
 
 
 class TestPhaseSpace:
@@ -163,7 +165,7 @@ class TestStateConstruction:
         table = np.zeros((13, 13), dtype=complex)
         table[0, 0] = 0.99
         with pytest.raises(CutoffTooSmallError, match=r"\(norm deficit 1\.990e-02\)$"):
-            log_negativity_numeric(FockState2.from_amplitudes(table))
+            log_negativity_numeric(FockState2(table))
 
     def test_symmetric_state_geometric_with_positive_tail(self):
         # gamma = 0 reduces to the standard two-mode squeezed vacuum with a
@@ -254,6 +256,33 @@ class TestStateConstruction:
         )
         assert state.norm_deficit >= -1e-12
 
+    def test_fields_are_read_off_the_table(self):
+        state = build_state_exponential(SqueezeParams(0.4, 0.6), 40)
+        copy = FockState2(state.amplitudes)
+        assert copy.cutoff == 40 and copy.norm_deficit == state.norm_deficit
+        assert copy.edge_mass() == state.edge_mass() < 1e-20
+        for field in ({"cutoff": 20}, {"norm_deficit": 0.0}):
+            with pytest.raises(TypeError):
+                FockState2(state.amplitudes, **field)
+
+    @pytest.mark.parametrize(
+        "entry, deficit",
+        [(2.0, r"-3\.000e\+00"), (math.nan, "nan"), (1.0 + 4 * EPS, r"-1\.776e-15")],
+        ids=["norm-2", "nan", "above-one"],
+    )
+    def test_table_that_is_no_unit_vector_is_refused(self, entry, deficit):
+        # a norm-2 table, a NaN, and |c00| = 1 + 4 eps, whose deficit lies inside the rounding allowance
+        table = np.zeros((9, 9))
+        table[0, 0] = entry
+        message = rf"^amplitudes do not form a truncated unit vector \(norm deficit {deficit}"
+        with pytest.raises(CutoffTooSmallError, match=message):
+            FockState2(table)
+
+    def test_build_refuses_a_nan_state(self, monkeypatch):
+        monkeypatch.setattr(fock, "_chebyshev_weights", lambda bound: [math.nan])
+        with pytest.raises(CutoffTooSmallError, match="not form a truncated unit vector"):
+            build_state_exponential(SqueezeParams(0.3, 0.5), 20)
+
     def test_overlap_requires_matching_cutoffs(self):
         a = fock_amplitudes(SqueezeParams(0.2, 0.0), 10)
         b = fock_amplitudes(SqueezeParams(0.2, 0.0), 12)
@@ -290,12 +319,17 @@ class TestCovarianceNumeric:
         )
         assert np.max(np.abs(cov.entries - expected)) < 1e-8
 
-    def test_rejects_unconverged_state(self):
+    @pytest.mark.parametrize(
+        "reader",
+        [covariance_numeric, log_negativity_numeric, lambda state: phase_space(state, [PhasePoint.origin()])],
+        ids=["covariance_numeric", "log_negativity_numeric", "phase_space"],
+    )
+    def test_rejects_unconverged_state(self, reader):
         table = np.zeros((13, 13), dtype=complex)
         table[0, 0] = 0.99  # deliberately lossy
-        state = FockState2.from_amplitudes(table)
-        with pytest.raises(CutoffTooSmallError):
-            covariance_numeric(state)
+        state = FockState2(table)
+        with pytest.raises(CutoffTooSmallError, match="oracle requires a state with norm deficit below 1e-8"):
+            reader(state)
 
 
 @pytest.fixture(scope="module")

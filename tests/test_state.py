@@ -303,15 +303,35 @@ class TestFockAmplitudes:
         assert c[0, 2] / c[0, 0] == pytest.approx(math.sqrt(2.0) * 0.14952938173183714, abs=1e-13)
         assert -c[2, 0] / c[0, 0] == pytest.approx(math.sqrt(2.0) * 0.14952938173183714, abs=1e-13)
 
-    def test_symmetric_geometric_amplitudes(self):
+    @pytest.mark.parametrize("cutoff", [30, 320])
+    def test_symmetric_geometric_amplitudes(self, cutoff):
+        # from cutoff 301 on, sqrt(m!/k!) overflows a double and the series takes those terms by logarithms
         lam = 0.5
-        state = fock_amplitudes(SqueezeParams(lam, 0.0), 30)
+        state = fock_amplitudes(SqueezeParams(lam, 0.0), cutoff)
         c = state.amplitudes.real
         sech, tanh = 1.0 / math.cosh(lam), math.tanh(lam)
         for n in range(12):
             assert c[n, n] == pytest.approx(sech * tanh ** n, abs=1e-13)
         off = c - np.diag(np.diag(c))
         assert np.max(np.abs(off)) < 1e-15
+
+    def test_asymmetric_series_above_cutoff_300(self):
+        # gamma = 0.01 fills the off-diagonal terms, whose sqrt(m!/k!) and i! overflow a double from m = 301 on
+        params = SqueezeParams(1.0, 0.01)
+        c = fock_amplitudes(params, 320).amplitudes.real
+        assert np.max(np.abs(c[:301, :301] - fock_amplitudes(params, 300).amplitudes.real)) < 1e-15
+        m1, m2, m3, _ = coefficients_50_digits(1.0, 0.01)
+        with mpmath.workdps(50):
+            big_l = m1 + m2 + 2
+            a, b, f = (m1 - m2) / (2 * big_l), 2 * m3 / big_l, mpmath.factorial
+
+            def s(sign, m, k):  # (sign A)^i sqrt(m!/k!) / i! with m - k = 2i, as the kernel's comment writes it
+                i = (m - k) // 2
+                return (sign * a) ** i / f(i) * mpmath.sqrt(f(m) / f(k))
+
+            series = mpmath.fsum(b ** k * s(-1, 312, k) * s(1, 310, k) for k in range(0, 311, 2))
+            exact = float(2 / mpmath.sqrt(big_l) * series)
+        assert abs(c[312, 310] - exact) <= 1e-11 * abs(exact)
 
     def test_even_total_photon_support(self):
         state = fock_amplitudes(SqueezeParams(0.5, 1.0), 20)
@@ -361,6 +381,13 @@ class TestFockAmplitudes:
         table[0, 0] = 1.0 + 4 * np.finfo(float).eps
         monkeypatch.setattr(_kernels, "fock_series_table", lambda *args: table)
         with pytest.raises(CutoffTooSmallError, match="cancels to noise"):
+            fock_amplitudes(SqueezeParams(0.1, 0.0), 8)
+
+    def test_nan_series_raises(self, monkeypatch):
+        table = np.zeros((9, 9))
+        table[0, 0] = math.nan
+        monkeypatch.setattr(_kernels, "fock_series_table", lambda *args: table)
+        with pytest.raises(CutoffTooSmallError, match=r"cancels to noise .* \(norm deficit nan\)$"):
             fock_amplitudes(SqueezeParams(0.1, 0.0), 8)
 
     @pytest.mark.parametrize(

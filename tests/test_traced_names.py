@@ -5,13 +5,16 @@
 every traced benchmark run, which the test suite never starts.
 ``perfbench/checks.py`` parses each ``check`` line of ``verify`` with its
 ``_VERIFY_LINE`` and expects ``VERIFY_CHECKS`` of them; a report it cannot
-read fails the oracle-verify workload.  Those values are read from the files'
-syntax trees, so the benchmark itself is not imported.
+read fails the oracle-verify workload.  ``perfbench/workloads.py`` calls the
+package through ``aq.<name>``, ``cli.<name>`` and the names it imports from
+``asymsqueeze.errors``; each of them must resolve too.  Those values and names
+are read from the files' syntax trees, so the benchmark itself is not imported.
 """
 
 import ast
 import functools
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -34,7 +37,29 @@ def _assigned(path, name):
     raise AssertionError(f"no {name} assignment in {path}")
 
 
+def _package_names(path):
+    """(module, attribute) for every package name ``path`` uses: the attributes it reads off an
+    imported package module, and the names it imports from one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, names = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in node.names if a.name.startswith("asymsqueeze"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("asymsqueeze"):
+            for alias in node.names:
+                submodule = f"{node.module}.{alias.name}"
+                if node.module == "asymsqueeze" and importlib.util.find_spec(submodule):
+                    modules[alias.asname or alias.name] = submodule
+                else:
+                    names.append((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.append((modules[node.value.id], node.attr))
+    return sorted(set(names))
+
+
 TARGETS = _assigned(PERFBENCH / "tracer.py", "TARGETS")
+WORKLOAD_NAMES = _package_names(PERFBENCH / "workloads.py")
 VERIFY_LINE = _assigned(PERFBENCH / "checks.py", "_VERIFY_LINE")
 VERIFY_CHECKS = _assigned(PERFBENCH / "checks.py", "VERIFY_CHECKS")
 
@@ -43,6 +68,19 @@ VERIFY_CHECKS = _assigned(PERFBENCH / "checks.py", "VERIFY_CHECKS")
 def test_traced_name_resolves(module, attribute, span):
     obj = functools.reduce(getattr, attribute.split("."), importlib.import_module(module))
     assert callable(obj), (module, attribute)
+
+
+@pytest.mark.parametrize("module, attribute", WORKLOAD_NAMES, ids=[f"{m}:{a}" for m, a in WORKLOAD_NAMES])
+def test_workload_name_resolves(module, attribute):
+    assert hasattr(importlib.import_module(module), attribute), (module, attribute)
+
+
+def test_workload_names_are_found():
+    # the nine names perfbench/workloads.py takes from the package today
+    assert {attribute for _, attribute in WORKLOAD_NAMES} >= {
+        "SqueezeParams", "maximize_bell", "Coherent", "SqueezedVacuum", "fidelity_quadrature",
+        "build_state_exponential", "log_negativity_numeric", "main", "QuadratureDomainError",
+    }
 
 
 def test_verify_runs_the_benchmark_check_count():
