@@ -14,12 +14,15 @@ is written deterministically: identical invocations produce byte-identical
 files.  CSV uses LF endings, a single ``#``-prefixed metadata line and %.17g
 floats.  JSON is a top-level {meta, grid} object with the bytes of
 ``json.dumps(..., sort_keys=True, indent=1)``, so its floats are Python's
-shortest round-trip repr.  Both read back as the same doubles.
+shortest round-trip repr.  Both read back as the same doubles.  A file is
+written as it is formatted, in blocks of at most ``_BLOCK_ROWS`` grid points.
 
-Exit codes: 0 ok, 1 validation error, 2 tolerance breach, 3 I/O failure.
+Exit codes: 0 ok, 1 validation error, 2 tolerance breach, 3 I/O failure
+(including a closed stdout pipe, and a write that stores nothing).
 """
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -42,6 +45,7 @@ _AXIS_BOUNDS = {
     "theta": (-math.tau, math.tau),
     "phi": (-math.tau, math.tau),
 }
+_BLOCK_ROWS = 2**16  # grid points per written block; the writer holds one block's text at a time
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,8 +93,7 @@ def _write_output(path, fmt, quantity, source, axes, values):
     """``values`` over the grid of the ranged ``axes`` (name -> values); single values go to the metadata."""
     swept = {name: axis for name, axis in axes.items() if axis.size > 1}
     fixed = {name: float(axis[0]) for name, axis in axes.items() if axis.size == 1}
-    columns = {**swept, quantity: values.ravel()}
-    names = list(columns)
+    names = [*swept, quantity]
     if fmt == "csv":
         meta_bits = [f"quantity={quantity}", f"source={source}", f"version={__version__}"]
         meta_bits += [f"{k}={v:.17g}" for k, v in sorted(fixed.items())]
@@ -105,24 +108,47 @@ def _write_output(path, fmt, quantity, source, axes, values):
         cell, special = "%r", {"null": np.isnan, "Infinity": np.isposinf, "-Infinity": np.isneginf}
         key, field_sep, row_sep = '"{}": ', ",\n   ", "\n  },\n  {\n   "
         names.sort()
-    # Each axis value and each grid value is formatted once, into the text of its
-    # field, by one format string; the values in ``special`` get their fixed text
-    # by mask instead.  Broadcasting the fields over the open grid lays the rows
-    # out lambda slowest.
-    texts = {}
+    # Each axis value is formatted once, and each grid value once in its block, into the text
+    # of its field by one format string; the values in ``special`` get their fixed text by
+    # mask instead.  Broadcasting a block's fields over its open grid lays its rows out
+    # lambda slowest.
+    formats = {}
     for name in names:
         pre, post = key.format(name), field_sep if name != names[-1] else row_sep
-        texts[name] = _cells(columns[name], pre + cell + post, {pre + t + post: test for t, test in special.items()})
-    grid = dict(zip(swept, np.ix_(*[texts[name] for name in swept])))
-    grid[quantity] = texts[quantity].reshape([axis.size for axis in swept.values()] or [1])
-    fields = np.broadcast_arrays(*[grid[name] for name in names])
-    text = head + "".join(np.stack(fields, axis=-1).ravel().tolist()).removesuffix(row_sep) + tail
-
+        formats[name] = pre + cell + post, {pre + t + post: test for t, test in special.items()}
+    texts = [_cells(axis, *formats[name]) for name, axis in swept.items()]
+    grid = values.reshape([axis.size for axis in swept.values()] or [1])
+    blocks = _blocks(grid.shape)
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        sys.stdout.flush()
+    with open(path, "wb") if path is not None else contextlib.nullcontext(sys.stdout.buffer) as handle:
+        _put(handle, head)
+        for k, block in enumerate(blocks):
+            fields = dict(zip(swept, np.ix_(*[text[s] for text, s in zip(texts, block)])))
+            fields[quantity] = _cells(grid[block].ravel(), *formats[quantity]).reshape(grid[block].shape)
+            rows = np.stack(np.broadcast_arrays(*[fields[name] for name in names]), axis=-1)
+            _put(handle, "".join(rows.ravel().tolist()), len(row_sep) if k == len(blocks) - 1 else 0)
+        _put(handle, tail)
+        handle.flush()
+
+
+def _blocks(shape):
+    """Index tuples that cut a grid of ``shape`` into blocks of at most ``_BLOCK_ROWS`` points, in row order:
+    the leading axes whose trailing product exceeds it go one index at a time, the next in runs that fit."""
+    lead = next(i for i in range(len(shape)) if math.prod(shape[i + 1:]) <= _BLOCK_ROWS)
+    run, rest = _BLOCK_ROWS // math.prod(shape[lead + 1:]), (slice(None),) * (len(shape) - lead - 1)
+    return [(*(slice(i, i + 1) for i in index), slice(start, start + run), *rest)
+            for index in np.ndindex(*shape[:lead]) for start in range(0, shape[lead], run)]
+
+
+def _put(handle, text, drop=0):
+    """Write ``text`` less its last ``drop`` characters as ASCII.  A short write is retried for the
+    rest, so the device's own error surfaces; a write that stores nothing raises OSError."""
+    view = memoryview(text.encode("ascii"))[: len(text) - drop]
+    while view:
+        if not (stored := handle.write(view)):
+            raise OSError(f"{len(view)} bytes of the output were not written")
+        view = view[stored:]
 
 
 def _cells(values, template, special):

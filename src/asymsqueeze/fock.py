@@ -72,7 +72,8 @@ class FockState2:
     """Truncated two-mode state: amplitude tensor c[m, n], 0 <= m, n <= cutoff.
 
     ``cutoff`` and ``norm_deficit`` = 1 - sum |c|^2 (truncation loss, never renormalized away)
-    are read off the table; a deficit below -(cutoff+1)^2 eps (the sum's rounding), any
+    are read off the table.  A table that is not square and at least 1 x 1 raises
+    ValidationError; a deficit below -(cutoff+1)^2 eps (the sum's rounding), any
     |c| > 1 or a NaN raises CutoffTooSmallError, as no truncated unit vector has one.
     """
 
@@ -82,6 +83,8 @@ class FockState2:
 
     def __post_init__(self):
         table = np.asarray(self.amplitudes, dtype=complex)
+        if table.ndim != 2 or not table.shape[0] == table.shape[1] > 0:
+            raise ValidationError(f"amplitudes must be a square table of at least 1 x 1, got shape {table.shape}")
         deficit = float(1.0 - np.sum(np.abs(table) ** 2))
         for name, value in (("cutoff", table.shape[0] - 1), ("amplitudes", table), ("norm_deficit", deficit)):
             object.__setattr__(self, name, value)

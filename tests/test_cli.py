@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +175,9 @@ WRITER_CASES = {
     "fidelity-difference": ["fidelity", "--lambda", "0:1:4", "--gamma", "-1:1:3", "--r", "1", "--difference"],
     # -0.0 (the range's end point) and 0.1, whose repr and %.17g forms differ
     "signed-zero": ["negativity", "--lambda", "0.1:0.3:3", "--gamma", "-1:-0:3"],
+    # blanks on the first and last rows of the 5-row blocks that a budget of 7 cuts, and on the last row
+    "bell-three-axes-clip": ["bell", "--lambda", "0.3:1.2:3", "--j", "0.005:0.5:4", "--theta", f"0:{math.pi}:5",
+                             "--clip-at-2"],
 }
 
 
@@ -216,6 +221,82 @@ class TestWriterBytes:
         assert main(argv + ["--output", str(out)]) == 0
         assert main(argv) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+class TestWriterBlockEdges(TestWriterBytes):
+    """The byte checks above with blocks of 1 and of 7 rows; 7 cuts a leading axis's run part-way through."""
+
+    @pytest.fixture(autouse=True, params=[1, 7], ids=lambda rows: f"rows{rows}")
+    def block_rows(self, request, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", request.param)
+
+
+class TestWriterStreams:
+    def test_memory_does_not_grow_with_the_grid(self, monkeypatch, rng):
+        # blocks of 1,000 rows: a 4e4-row file may cost more than a 1e4-row one only by its value array
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 1000)
+
+        def peak(lambdas):
+            axes = {"lambda": np.linspace(0.0, 1.5, lambdas), "j": np.linspace(0.01, 0.5, 100)}
+            values = rng.uniform(-2.8, 2.8, (lambdas, 100))
+            tracemalloc.start()
+            try:
+                cli._write_output(os.devnull, "json", "bell", "test", axes, values)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = 300 * 100 * 8
+        assert peak(400) - peak(100) < growth + 2**20
+
+    def test_closed_stdout_pipe_exits_3(self, child_env):
+        # 90,000 rows: the reader takes one line and closes the pipe while the first block is being written
+        argv = [sys.executable, "-m", "asymsqueeze", "bell", "--lambda", "0:1:300", "--j", "0.01:0.5:300"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env) as proc:
+            assert proc.stdout.readline().startswith(b"# quantity=bell ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 3
+        assert err == b"i/o error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("per_write, capacity, code", [(1000, math.inf, 0), (math.inf, 1000, 3)],
+                             ids=["short-writes", "full-device"])
+    def test_short_writes(self, per_write, capacity, code, tmp_path, monkeypatch, capsys):
+        # a short write is written again from where it stopped; a write that stores nothing is an i/o error
+        argv = WRITER_CASES["bell-clip"] + ["--format", "json", "--output", str(tmp_path / "out")]
+        assert main(argv) == 0
+        expected = (tmp_path / "out").read_bytes()
+        device = ShortWriteFile(per_write, capacity)
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: device, raising=False)
+        assert main(argv) == code
+        stored = bytes(device.stored)
+        if code:
+            assert stored == expected[:capacity]
+            assert re.fullmatch(r"i/o error: \d+ bytes of the output were not written\n", capsys.readouterr().err)
+        else:
+            assert stored == expected
+
+
+class ShortWriteFile:
+    """A file whose text or binary writes store at most ``per_write`` characters each, and nothing
+    once ``capacity`` are stored; each write returns the count it stored."""
+
+    def __init__(self, per_write, capacity):
+        self.per_write, self.capacity, self.stored = per_write, capacity, bytearray()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def write(self, data):
+        count = int(min(len(data), self.per_write, self.capacity - len(self.stored)))
+        self.stored += data[:count].encode() if isinstance(data, str) else data[:count]
+        return count
+
+    def flush(self):
+        pass
 
 
 def per_point_writer(value):

@@ -278,6 +278,17 @@ class TestStateConstruction:
         with pytest.raises(CutoffTooSmallError, match=message):
             FockState2(table)
 
+    @pytest.mark.parametrize(
+        "table",
+        [np.ones((3, 5)) / 15**0.5, 2.0 * np.ones((3, 5)), np.array([0.6, 0.8]), np.zeros((0, 0))],
+        ids=["3x5-unit", "3x5-norm-60", "1-d", "0x0"],
+    )
+    def test_table_that_is_not_square_is_refused(self, table):
+        # the shape is checked before the unit-vector gate, so the norm-60 table is refused for its shape too
+        message = rf"^amplitudes must be a square table of at least 1 x 1, got shape {re.escape(str(table.shape))}$"
+        with pytest.raises(ValidationError, match=message):
+            FockState2(table)
+
     def test_build_refuses_a_nan_state(self, monkeypatch):
         monkeypatch.setattr(fock, "_chebyshev_weights", lambda bound: [math.nan])
         with pytest.raises(CutoffTooSmallError, match="not form a truncated unit vector"):

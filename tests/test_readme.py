@@ -1,6 +1,6 @@
 """Every sweep command in the README's command-line block runs and exits 0,
-its verify command passes every check, and the library example prints what
-its comments say."""
+its verify command passes every check, the library example prints what its
+comments say, and the writer's block size is the one the README states."""
 
 import contextlib
 import io
@@ -54,6 +54,10 @@ def test_readme_verify_command_passes(argv, capsys):
     assert cli.main(argv) == 0
     pairs = 4 if "fine" in argv else 2
     assert capsys.readouterr().out.endswith(f"all 6 oracle checks passed for {pairs} parameter pair(s)\n")
+
+
+def test_readme_states_the_writer_block_size():
+    assert f"blocks of at most {cli._BLOCK_ROWS:,} rows" in README.read_text(encoding="utf-8")
 
 
 def test_library_example_prints_its_comments():
