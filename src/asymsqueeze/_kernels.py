@@ -4,8 +4,8 @@ Kernels:
   * ``bell_values``       -- CHSH combination of displaced-parity correlations
                              from the Wigner coefficients m1, m2, m3,
                              broadcast over the settings
-  * ``fock_series_table`` -- amplitude table of the squeezed vacuum expanded
-                             as a product of three commuting exponential series
+  * ``fock_series_table`` -- amplitude table of the squeezed vacuum, row by row
+                             from its two ladder relations
   * ``teleport_integrand`` -- fidelity integrand |chi_in|^2 * chi_E(-eta*, -eta)
                              on a tensor grid of Re/Im eta (61 x 61 in
                              ``fidelity_quadrature``, whose trapezoid sampling
@@ -14,8 +14,6 @@ Kernels:
                              that the quadrature builds once per call; q's
                              diagonal also gives its axis decay rates
 """
-
-import math
 
 import numpy as np
 
@@ -39,33 +37,25 @@ def bell_values(m1, m2, m3, j, theta, phi):
 
 
 # ---------------------------------------------------------------------------
-# Fock amplitude table of the state  norm * exp[-A a'^2] exp[A b'^2] exp[B a'b'] |00>
-# (primes denote creation operators; the three factors commute).  Within the
-# retained block 0 <= m,n <= cutoff the triple series is exactly finite, since
-# every factor only raises occupation numbers: powers beyond the cutoff cannot
-# contribute to retained amplitudes.
-#
-#   c_{mn} = norm * sum_k B^k s^-_A(m,k) s^+_A(n,k)
-#   s^±_A(m,k) = [(m-k) even >= 0] (±A)^{(m-k)/2} / ((m-k)/2)! * sqrt(m!/k!)
+# Fock amplitude table c[m, n] of psi = norm * exp[-A a'^2 + A b'^2 + B a'b'] |00>
+# (primes denote creation operators), from a psi = (-2A a' + B b') psi and
+# b psi = (2A b' + B a') psi:
+#   sqrt(n+1) c[0, n+1] = 2A sqrt(n) c[0, n-1]                         (row 0)
+#   sqrt(m+1) c[m+1, n] = -2A sqrt(m) c[m-1, n] + B sqrt(n) c[m, n-1]   (rows 1 on)
+# No factorial is formed, so nothing overflows at any cutoff; at large cutoffs
+# the two terms of a row can cancel, which the caller's unit-vector gate catches.
 # ---------------------------------------------------------------------------
 
 
 def fock_series_table(a_coeff, b_coeff, norm, cutoff):
     d = cutoff + 1
-    sa = np.zeros((d, d))
-    sb = np.zeros((d, d))
-    for m in range(d):
-        for k in range(m % 2, m + 1, 2):
-            i = (m - k) // 2
-            log_sq = 0.5 * (math.lgamma(m + 1) - math.lgamma(k + 1))
-            try:
-                sb[m, k] = a_coeff ** i / math.factorial(i) * math.exp(log_sq)
-            except OverflowError:  # sqrt(m!/k!) or i! overflows (m > 300): by logarithms, inf past the range
-                log = i * math.log(abs(a_coeff)) + log_sq - math.lgamma(i + 1) if a_coeff else -math.inf
-                sb[m, k] = math.copysign(math.exp(log) if log < 709.0 else math.inf, a_coeff ** i)
-            sa[m, k] = (-1) ** i * sb[m, k]
-    bk = b_coeff ** np.arange(d)
-    return norm * (sa * bk) @ sb.T
+    root = np.sqrt(np.arange(d))
+    table = np.zeros((d, d + 1))  # c[m, n] at table[m, n + 1]; column 0 holds c[m, -1] = 0
+    table[0, 1::2] = np.cumprod(np.r_[norm, 2.0 * a_coeff * (root[1:-1:2] / root[2::2])])
+    for m in range(d - 1):  # at m = 0, root[m] = 0 drops table[-1], the still-zero last row
+        down, up = root[m] / root[m + 1], root / root[m + 1]
+        table[m + 1, 1:] = (b_coeff * up) * table[m, :-1] - (2.0 * a_coeff * down) * table[m - 1, 1:]
+    return table[:, 1:]
 
 
 # ---------------------------------------------------------------------------

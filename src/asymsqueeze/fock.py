@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CutoffTooSmallError, ValidationError
+from .errors import CutoffTooSmallError, InvalidCovarianceError, ValidationError
 from .gaussian import CovarianceMatrix
 
 if TYPE_CHECKING:
@@ -182,7 +182,8 @@ def _require_converged(state):
 
 
 def covariance_numeric(state: FockState2) -> CovarianceMatrix:
-    """Symmetrized second moments of the truncated quadrature operators."""
+    """Symmetrized second moments of the truncated quadrature operators; moments that miss the
+    uncertainty relation (exact ones never do) raise CutoffTooSmallError with the edge mass."""
     _require_converged(state)
     d = state.cutoff + 1
     q, p = _quadratures(d)
@@ -191,7 +192,11 @@ def covariance_numeric(state: FockState2) -> CovarianceMatrix:
     # mode at a time.  <psi|(X_i X_j + X_j X_i)/2|psi> = Re <X_i psi|X_j psi>,
     # the real part of the Gram matrix of the four vectors.
     vecs = np.stack([q @ c, p @ c, c @ q.T, c @ p.T]).reshape(4, -1)  # Q1, P1, Q2, P2 applied to psi
-    return CovarianceMatrix((vecs.conj() @ vecs.T).real)
+    try:
+        return CovarianceMatrix((vecs.conj() @ vecs.T).real)
+    except InvalidCovarianceError as exc:
+        message = f"cutoff {state.cutoff} truncates the moments: {exc}"
+        raise CutoffTooSmallError(message, state.edge_mass(), "edge mass") from None
 
 
 def phase_space(state: FockState2, points) -> tuple[np.ndarray, np.ndarray]:

@@ -257,15 +257,13 @@ def heisenberg_transform(params: SqueezeParams) -> np.ndarray:
 def fock_amplitudes(params: SqueezeParams, cutoff: int) -> FockState2:
     """Two-mode Fock amplitudes of the state up to ``cutoff`` per mode.
 
-    Expands (2/sqrt(L)) exp[A(b'^2 - a'^2) + B a'b'] |00> as a product of
-    three commuting truncated exponential series (primes denote creation
-    operators), with L = m1 + m2 + 2, A = (m1 - m2)/(2L) and B = 2 m3/L, as
-    m1 + m2 + 2 = 4 (cosh^2 lam + sinh^2 gamma sinh^2 lam) and m1 - m2 =
-    2 sinh(2 gamma) sinh^2 lam, the form A is taken in (it cannot cancel).  A
-    deficit 1 - sum |c|^2 above ``fock._DEFICIT_LIMIT`` (1e-6) raises
-    CutoffTooSmallError, and so does a table ``FockState2`` refuses: "Fock series at
-    cutoff ... cancels to noise for ...", as the alternating terms do at large cutoffs
-    for |A| above about 0.3.
+    The state is (2/sqrt(L)) exp[A(b'^2 - a'^2) + B a'b'] |00> (primes denote creation
+    operators), with L = m1 + m2 + 2, A = sinh(2 gamma) sinh^2(lam)/L = (m1 - m2)/(2L), a form
+    that cannot cancel, and B = 2 m3/L: proven exactly in ``tests/test_certificate.py``.  Its
+    table follows the ladder recurrences of ``_kernels.fock_series_table``.  A deficit
+    1 - sum |c|^2 above ``fock._DEFICIT_LIMIT`` (1e-6) raises CutoffTooSmallError, and so does a
+    table ``FockState2`` refuses: "Fock series at cutoff ... cancels to noise for ...", as the
+    two terms of a ladder row do at large cutoffs (from cutoff 130 at (1.2, 1.0); README).
     """
     if cutoff < 2:
         raise ValidationError(f"cutoff must be >= 2, got {cutoff}")

@@ -140,6 +140,22 @@ def test_series_coefficient_forms():
     assert vanishes(M1 - M2 - 2 * rational(sp.sinh(2 * GAMMA)) * s2)
 
 
+def test_series_form_is_the_squeezed_vacuum():
+    # V^dag X V = S X, so V a V^dag = U a + W a' with U, W the top blocks of S^{-1} in the complex
+    # basis (a1, a2, a1', a2').  V|00> is the state a - M a' annihilates, M = -U^{-1} W, which is
+    # N exp(a'^T M a' / 2)|00> with |N| = |det U|^{-1/2} (Ma & Rhodes, PRA 41, 4625, 1990).  The
+    # ladder of _kernels.fock_series_table takes M = [[-2A, B], [B, 2A]] and N = 2/sqrt(L), with L, A
+    # and B as fock_amplitudes writes them; so these two identities prove its table exactly.
+    r = 1 / sp.sqrt(2)
+    t = sp.Matrix([[r, sp.I * r, 0, 0], [0, 0, r, sp.I * r], [r, -sp.I * r, 0, 0], [0, 0, r, -sp.I * r]])
+    blocks = t * S.inv() * t.inv()
+    u, w = blocks[:2, :2], blocks[:2, 2:]
+    big_l = M1 + M2 + 2
+    a, b = rational(sp.sinh(2 * GAMMA)) * SH ** 2 / big_l, 2 * M3 / big_l
+    assert all_vanish(u * sp.Matrix([[-2 * a, b], [b, 2 * a]]) + w)  # U M + W = 0
+    assert vanishes(u.det() - big_l / 4)  # det U = L/4 > 0, so U is invertible and |N| = 2/sqrt(L)
+
+
 def test_wigner_exponent_is_the_gaussian_form(exponent):
     # Q = -x^T sigma^{-1} x / 2 = -2 x^T (Omega^T sigma Omega) x, so W = e^Q / pi^2 and CF = e^{Q/4}
     x = sp.Matrix(X)

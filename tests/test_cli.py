@@ -436,11 +436,26 @@ class TestValidationAndExitCodes:
 
     def test_verify_cancelled_series_surfaces(self, capsys):
         # the oracle builds at this pair, but the Fock series cancels to noise and gains norm
+        assert run_cli(["verify", "--cutoff", "130", "--lambda", "1.2", "--gamma", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: Fock series at cutoff 130 cancels to noise for SqueezeParams(lam=1.2, gamma=1.0)"
+            " (norm deficit -8.934e-07)\n"
+        )
+
+    def test_verify_series_tail_surfaces(self, capsys):
+        # one step lower the series holds, and its deficit is the state's true tail (2.04e-6)
         assert run_cli(["verify", "--cutoff", "120", "--lambda", "1.2", "--gamma", "1"]) == 2
         assert capsys.readouterr().err == (
-            "error: Fock series at cutoff 120 cancels to noise for SqueezeParams(lam=1.2, gamma=1.0)"
-            " (norm deficit -2.166e-03)\n"
+            "error: cutoff 120 leaves too much of the state outside the basis (norm deficit 2.014e-06)\n"
         )
+
+    @pytest.mark.parametrize("pair", [["--lambda", "0.3", "--gamma", "0.7", "--cutoff", "12"], ["--cutoff", "10"]])
+    def test_verify_truncated_moments_surface(self, pair, capsys):
+        # the states build (edge mass 4.9e-9 and 1.5e-7), but their truncated moments miss the uncertainty relation
+        assert run_cli(["verify", *pair]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cutoff {pair[-1]} truncates the moments: uncertainty relation violated")
+        assert "(edge mass " in err
 
     def test_verify_deviations_are_nonnegative(self, capsys):
         # at this pair the oracle's norm exceeds 1 by rounding, so 1 - overlap is about -7e-16
@@ -474,7 +489,7 @@ class TestValidationAndExitCodes:
 
     def test_verify_breach_report_names_a_cutoff_that_cannot_be_built(self, monkeypatch, capsys):
         # the search for a passing cutoff ends at the first one whose states cannot be built, and the
-        # report keeps the breach (as at (1.0, 1.0), cutoff 80, whose search meets the series' gate at 120)
+        # report keeps the breach (as at (1.0, 1.0), cutoff 80, whose search meets the series' gate at 135)
         monkeypatch.setitem(verify.TOLERANCES, "covariance", 0.0)
         deviations = cli.oracle_deviations
 

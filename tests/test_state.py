@@ -31,6 +31,47 @@ def random_params(rng, lam_hi=1.5, gamma_hi=2.0):
     return SqueezeParams(rng.uniform(0.0, lam_hi), rng.uniform(-gamma_hi, gamma_hi))
 
 
+def series_50_digits(lam, gamma):
+    """L = m1 + m2 + 2, A = (m1 - m2)/(2L) and B = 2 m3/L of the Fock series, as 50-digit mpf."""
+    m1, m2, m3, _ = coefficients_50_digits(lam, gamma)
+    with mpmath.workdps(50):
+        big_l = m1 + m2 + 2
+        return big_l, (m1 - m2) / (2 * big_l), 2 * m3 / big_l
+
+
+def triple_series_50_digits(lam, gamma, m, n):
+    """c[m, n] of (2/sqrt(L)) exp(-A a'^2) exp(A b'^2) exp(B a'b') |00> as the product of the three
+    commuting exponential series, sum_k B^k s(-A, m, k) s(A, n, k) with s(x, m, k) = x^i sqrt(m!/k!) / i!
+    for m - k = 2i, at m - n even: a route that shares no step with the ladder."""
+    big_l, a, b = series_50_digits(lam, gamma)
+    with mpmath.workdps(50):
+        f = mpmath.factorial
+
+        def s(x, m, k):
+            i = (m - k) // 2
+            return x ** i / f(i) * mpmath.sqrt(f(m) / f(k))
+
+        terms = (b ** k * s(-a, m, k) * s(a, n, k) for k in range(m % 2, min(m, n) + 1, 2))
+        return 2 / mpmath.sqrt(big_l) * mpmath.fsum(terms)
+
+
+def ladder_table_50_digits(lam, gamma, cutoff):
+    """The amplitude table by the ladder recurrences of ``_kernels.fock_series_table``, at 50 digits."""
+    big_l, a, b = series_50_digits(lam, gamma)
+    with mpmath.workdps(50):
+        d = cutoff + 1
+        root = [mpmath.sqrt(k) for k in range(d)]
+        c = [[mpmath.mpf(0)] * d for _ in range(d)]
+        c[0][0] = 2 / mpmath.sqrt(big_l)
+        for n in range(1, d - 1, 2):
+            c[0][n + 1] = 2 * a * root[n] * c[0][n - 1] / root[n + 1]
+        for m in range(d - 1):
+            for n in range((m + 1) % 2, d, 2):  # c[m + 1, n] = 0 for odd m + 1 + n
+                up = b * root[n] * c[m][n - 1] if n else 0
+                c[m + 1][n] = (up - 2 * a * root[m] * c[m - 1][n]) / root[m + 1]
+        return np.array(c, dtype=float)
+
+
 class TestParams:
     def test_generator_weights(self):
         p = SqueezeParams(0.5, 1.0)
@@ -305,7 +346,7 @@ class TestFockAmplitudes:
 
     @pytest.mark.parametrize("cutoff", [30, 320])
     def test_symmetric_geometric_amplitudes(self, cutoff):
-        # from cutoff 301 on, sqrt(m!/k!) overflows a double and the series takes those terms by logarithms
+        # past cutoff 300 sqrt(m!/k!) overflows a double; the ladder forms no factorial, so one path serves both
         lam = 0.5
         state = fock_amplitudes(SqueezeParams(lam, 0.0), cutoff)
         c = state.amplitudes.real
@@ -316,22 +357,22 @@ class TestFockAmplitudes:
         assert np.max(np.abs(off)) < 1e-15
 
     def test_asymmetric_series_above_cutoff_300(self):
-        # gamma = 0.01 fills the off-diagonal terms, whose sqrt(m!/k!) and i! overflow a double from m = 301 on
+        # gamma = 0.01 fills the off-diagonal terms; from m = 301 on, the triple series' sqrt(m!/k!) and i!
+        # overflow a double, which the ladder never forms; row m + 1 needs only rows m and m - 1
         params = SqueezeParams(1.0, 0.01)
         c = fock_amplitudes(params, 320).amplitudes.real
         assert np.max(np.abs(c[:301, :301] - fock_amplitudes(params, 300).amplitudes.real)) < 1e-15
-        m1, m2, m3, _ = coefficients_50_digits(1.0, 0.01)
-        with mpmath.workdps(50):
-            big_l = m1 + m2 + 2
-            a, b, f = (m1 - m2) / (2 * big_l), 2 * m3 / big_l, mpmath.factorial
-
-            def s(sign, m, k):  # (sign A)^i sqrt(m!/k!) / i! with m - k = 2i, as the kernel's comment writes it
-                i = (m - k) // 2
-                return (sign * a) ** i / f(i) * mpmath.sqrt(f(m) / f(k))
-
-            series = mpmath.fsum(b ** k * s(-1, 312, k) * s(1, 310, k) for k in range(0, 311, 2))
-            exact = float(2 / mpmath.sqrt(big_l) * series)
+        exact = float(triple_series_50_digits(1.0, 0.01, 312, 310))
         assert abs(c[312, 310] - exact) <= 1e-11 * abs(exact)
+
+    def test_table_accuracy_near_the_edge_of_reach(self):
+        # at (1, 1) the two terms of a ladder row cancel to noise from cutoff 135; at 120 the table errs by 1.6e-8
+        c = fock_amplitudes(SqueezeParams(1.0, 1.0), 120).amplitudes.real
+        reference = ladder_table_50_digits(1.0, 1.0, 120)
+        assert np.max(np.abs(c - reference)) <= 1e-6
+        # the reference against the triple series, which shares no step with the ladder
+        for m, n in [(0, 2), (2, 0), (7, 3), (60, 60), (119, 117), (118, 120), (120, 120)]:
+            assert float(triple_series_50_digits(1.0, 1.0, m, n)) == pytest.approx(reference[m, n], rel=1e-14)
 
     def test_even_total_photon_support(self):
         state = fock_amplitudes(SqueezeParams(0.5, 1.0), 20)
@@ -364,9 +405,9 @@ class TestFockAmplitudes:
         assert abs(c[0, 2] - exact) <= 1e-14 * abs(exact)
         assert c[2, 0] == -c[0, 2]
 
-    @pytest.mark.parametrize("lam, gamma, cutoff", [(1.0, 1.0, 150), (1.2, 1.0, 120), (1.0, 2.0, 200)])
+    @pytest.mark.parametrize("lam, gamma, cutoff", [(1.0, 1.0, 180), (1.2, 1.0, 150), (1.0, 2.0, 200)])
     def test_series_cancelled_to_noise_raises(self, lam, gamma, cutoff):
-        # the alternating series gains norm here: deficits -1.5e-3, -2.2e-3 and -4.6e7 (max |c| 1.9e3)
+        # the two terms of each ladder row cancel and the table gains norm here: deficits -4.0e-2, -0.26 and -7.3e2
         message = (
             rf"^Fock series at cutoff {cutoff} cancels to noise for SqueezeParams\(lam={lam}, gamma={gamma}\)"
             r" \(norm deficit -"
@@ -374,6 +415,12 @@ class TestFockAmplitudes:
         with pytest.raises(CutoffTooSmallError, match=message) as info:
             fock_amplitudes(SqueezeParams(lam, gamma), cutoff)
         assert info.value.deficit < -1e-3
+
+    def test_tail_outside_the_basis_is_not_blamed_on_noise(self):
+        # the true deficit at this pair is 2.04e-6 (50-digit ladder), above the 1e-6 gate
+        with pytest.raises(CutoffTooSmallError, match="^cutoff 120 leaves too much of the state outside") as info:
+            fock_amplitudes(SqueezeParams(1.2, 1.0), 120)
+        assert info.value.deficit == pytest.approx(2.04e-6, rel=0.02)
 
     def test_amplitude_above_one_raises(self, monkeypatch):
         # |c00| = 1 + 4 eps leaves a deficit of about -8 eps, inside the -(cutoff+1)^2 eps rounding allowance
