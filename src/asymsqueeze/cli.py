@@ -23,6 +23,7 @@ Exit codes: 0 ok, 1 validation error, 2 tolerance breach, 3 I/O failure
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import re
@@ -254,6 +255,7 @@ def _passing_cutoff(params, cutoff, points):
     return f"no cutoff up to {2 * cutoff} passes"
 
 
+@functools.cache  # one parser per process: parsing does not change it
 def build_parser():
     parser = _Parser(prog="asymsqueeze", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -266,7 +268,6 @@ def build_parser():
     p_neg.add_argument("--lambda", dest="lam", default="0:1.5:50", metavar="SPEC")
     p_neg.add_argument("--gamma", default="-2:2:50", metavar="SPEC")
     add_io(p_neg)
-    p_neg.set_defaults(func=_cmd_negativity)
 
     p_bell = sub.add_parser("bell", help="CHSH sweep over lambda/gamma/J/theta/phi")
     p_bell.add_argument("--lambda", dest="lam", default="0.5", metavar="SPEC")
@@ -276,7 +277,6 @@ def build_parser():
     p_bell.add_argument("--phi", default="0", metavar="SPEC")
     p_bell.add_argument("--clip-at-2", action="store_true", help="blank values not exceeding the local bound 2")
     add_io(p_bell)
-    p_bell.set_defaults(func=_cmd_bell)
 
     p_fid = sub.add_parser("fidelity", help="teleportation fidelity sweep over lambda/gamma")
     p_fid.add_argument("--lambda", dest="lam", default="0:1.5:50", metavar="SPEC")
@@ -284,14 +284,12 @@ def build_parser():
     p_fid.add_argument("--r", type=float, default=0.0, help="input squeeze (0 = coherent input)")
     p_fid.add_argument("--difference", action="store_true", help="emit F(r) - F(0) instead of F")
     add_io(p_fid)
-    p_fid.set_defaults(func=_cmd_fidelity)
 
     p_ver = sub.add_parser("verify", help="closed-form vs Fock-oracle checks")
     p_ver.add_argument("--cutoff", type=int, default=40)
     p_ver.add_argument("--grid", choices=("coarse", "fine"), default="coarse")
     p_ver.add_argument("--lambda", dest="lam", type=float, default=None)
     p_ver.add_argument("--gamma", type=float, default=None)
-    p_ver.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -299,7 +297,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)  # looked up per call, not held by the parser
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -403,6 +403,34 @@ class TestDeterminism:
         assert outputs[0].startswith(b"# quantity=log_negativity")
 
 
+class TestCachedParser:
+    """``main`` reuses one parser per process, so no call may leave anything in it for the next."""
+
+    BELL = ["bell", "--lambda", "0:1:6", "--gamma", "0.4", "--j", "0.01:0.3:5"]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flag_does_not_carry_to_the_next_call(self, tmp_path, child_env):
+        clipped, plain, fresh = (tmp_path / name for name in ("clipped.csv", "plain.csv", "fresh.csv"))
+        assert main(self.BELL + ["--clip-at-2", "--output", str(clipped)]) == 0
+        assert main(self.BELL + ["--output", str(plain)]) == 0
+        argv = [sys.executable, "-m", "asymsqueeze", *self.BELL, "--output", str(fresh)]
+        subprocess.run(argv, check=True, env=child_env)
+        assert plain.read_bytes() == fresh.read_bytes()
+        assert b",\n" in clipped.read_bytes() and b",\n" not in plain.read_bytes()
+
+    @pytest.mark.parametrize("bad", [["--theta", "7"], ["--lambda", "1:0:3"], ["--format", "xml"], ["--bogus"]])
+    def test_refused_call_leaves_the_next_call_unchanged(self, bad, tmp_path, capsys):
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        assert main(self.BELL + ["--output", str(before)]) == 0
+        assert main(self.BELL + bad + ["--output", str(tmp_path / "refused.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(self.BELL + ["--output", str(after)]) == 0
+        assert after.read_bytes() == before.read_bytes()
+        assert not (tmp_path / "refused.csv").exists()
+
+
 class TestValidationAndExitCodes:
     def test_bad_range_order(self, capsys):
         assert run_cli(["negativity", "--lambda", "2:1:5"]) == 1

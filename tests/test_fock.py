@@ -28,7 +28,7 @@ from asymsqueeze import (
 )
 from asymsqueeze import fock, verify
 from asymsqueeze.bell import _chsh_from_wigner
-from asymsqueeze.fock import _chebyshev_weights, _quadrature_eigh, _quadratures
+from asymsqueeze.fock import _chebyshev_weights, _quadrature_eigh, _quadratures, _row_sum_bound
 
 EPS = np.finfo(float).eps
 
@@ -229,25 +229,55 @@ class TestStateConstruction:
         assert abs(exact[stop]) < eps < abs(exact[stop - 1]) or stop - 1 <= bound
 
     def test_build_applies_the_generator_about_r_times(self, monkeypatch):
-        # every application multiplies by the left factor that np.hstack builds; at (0.5, 1.0),
-        # cutoff 40, R = 104 and a scaled Taylor series makes 324 of them
+        # every application multiplies the stacked parity blocks by the left factor that
+        # np.concatenate builds, (2, h, 2h) with h = 21 at cutoff 40.  At (0.5, 1.0) the norm bound
+        # R = 104 is the smaller one, and a scaled Taylor series makes 324 applications; at
+        # (0.45, 0.0) the row-sum bound takes R from 61 to 36, below the 103 applications R = 61 needs
         calls = []
 
         class Counting(np.ndarray):
             def __matmul__(self, other):
-                calls.append(other.shape)
+                calls.append((self.shape, other.shape))
                 return np.asarray(self) @ other
 
-        hstack = np.hstack
-        monkeypatch.setattr(np, "hstack", lambda arrays: hstack(arrays).view(Counting))
+        concatenate = np.concatenate
+        monkeypatch.setattr(np, "concatenate", lambda *args, **kwargs: concatenate(*args, **kwargs).view(Counting))
         params = SqueezeParams(0.5, 1.0)
         state = build_state_exponential(params, 40)
+        counts = [len(calls)]
+        calls.clear()
+        near_symmetric = build_state_exponential(SqueezeParams(0.45, 0.0), 40)
+        counts.append(len(calls))
         monkeypatch.undo()
+        assert set(calls) == {((2, 21, 42), (2, 42, 21))}
         q, _ = _quadratures(41)
         bound = (params.lam1 + params.lam2) * np.linalg.norm(q, 2) ** 2
         assert 104 < bound < 105
-        assert bound < len(calls) <= math.ceil(bound) + 60
+        assert bound < counts[0] <= math.ceil(bound) + 60
+        assert 36 < counts[1] < 103
         assert state.overlap(fock_amplitudes(params, 40)) >= 1.0 - 1e-8
+        assert near_symmetric.overlap(fock_amplitudes(SqueezeParams(0.45, 0.0), 40)) >= 1.0 - 1e-8
+
+    @pytest.mark.parametrize("cutoff", [10, 11, 12, 13, 14])
+    def test_row_sum_bound_is_the_largest_row_sum_and_bounds_the_norm(self, cutoff):
+        d = cutoff + 1
+        q, p = _quadratures(d)
+        for lam in (0.0, 1e-8, 0.3, 1.5):
+            for gamma in (-3.0, -0.5, 0.0, 0.7, 5.0):
+                params = SqueezeParams(lam, gamma)
+                gen = params.lam1 * np.kron(q, p) + params.lam2 * np.kron(p, q)
+                bound = _row_sum_bound(params.lam1, params.lam2, d)
+                assert abs(bound - np.max(np.sum(np.abs(gen), axis=1))) <= 1e-12 * bound, (lam, gamma)
+                assert np.max(np.abs(np.linalg.eigvalsh(gen))) <= bound, (lam, gamma)
+
+    @pytest.mark.parametrize("cutoff", [20, 21, 30, 31])
+    def test_odd_total_photon_number_amplitudes_are_exactly_zero(self, cutoff):
+        # G changes each mode's photon number by one, so from |00> only m + n even is reached
+        m, n = np.indices((cutoff + 1, cutoff + 1))
+        for lam, gamma in [(0.3, 0.7), (0.2, 0.0), (0.15, -1.2)]:
+            amplitudes = build_state_exponential(SqueezeParams(lam, gamma), cutoff).amplitudes
+            assert np.all(amplitudes[(m + n) % 2 == 1] == 0.0)
+            assert np.count_nonzero(amplitudes[(m + n) % 2 == 0]) > cutoff
 
     def test_norm_accounting(self):
         state = build_state_exponential(SqueezeParams(0.4, 0.6), 20)
