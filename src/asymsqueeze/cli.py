@@ -16,9 +16,11 @@ floats.  JSON is a top-level {meta, grid} object with the bytes of
 ``json.dumps(..., sort_keys=True, indent=1)``, so its floats are Python's
 shortest round-trip repr.  Both read back as the same doubles.  A file is
 written as it is formatted, in blocks of at most ``_BLOCK_ROWS`` grid points.
+Floats are formatted exactly in numpy; Python formats the few values it cannot decide.
 
-Exit codes: 0 ok, 1 validation error, 2 tolerance breach, 3 I/O failure
-(including a closed stdout pipe, and a write that stores nothing).
+Exit codes: 0 ok, 1 validation error (or a grid too large to allocate),
+2 tolerance breach, 3 I/O failure (including a closed stdout pipe, and a
+write that stores nothing).
 """
 
 import argparse
@@ -46,7 +48,7 @@ _AXIS_BOUNDS = {
     "theta": (-math.tau, math.tau),
     "phi": (-math.tau, math.tau),
 }
-_BLOCK_ROWS = 2**16  # grid points per written block; the writer holds one block's text at a time
+_BLOCK_ROWS = 2**14  # grid points per written block; the writer holds one block's text at a time
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,37 +101,37 @@ def _write_output(path, fmt, quantity, source, axes, values):
         meta_bits = [f"quantity={quantity}", f"source={source}", f"version={__version__}"]
         meta_bits += [f"{k}={v:.17g}" for k, v in sorted(fixed.items())]
         head, tail = "# " + " ".join(meta_bits) + "\n" + ",".join(names) + "\n", "\n"
-        cell, special = "%.17g", {"": np.isnan}
+        shortest, special = False, {"": np.isnan}
         key, field_sep, row_sep = "", ",", "\n"
     else:
         # the bytes of json.dumps({"grid": records, "meta": meta}, sort_keys=True, indent=1)
         meta = {"quantity": quantity, "source": source, "version": __version__, "fixed": fixed}
         head = '{\n "grid": [\n  {\n   '
         tail = "\n  }\n ],\n" + json.dumps({"meta": meta}, sort_keys=True, indent=1)[2:] + "\n"
-        cell, special = "%r", {"null": np.isnan, "Infinity": np.isposinf, "-Infinity": np.isneginf}
+        shortest, special = True, {"null": np.isnan, "Infinity": np.isposinf, "-Infinity": np.isneginf}
         key, field_sep, row_sep = '"{}": ', ",\n   ", "\n  },\n  {\n   "
         names.sort()
-    # Each axis value is formatted once, and each grid value once in its block, into the text
-    # of its field by one format string; the values in ``special`` get their fixed text by
-    # mask instead.  Broadcasting a block's fields over its open grid lays its rows out
-    # lambda slowest.
-    formats = {}
-    for name in names:
-        pre, post = key.format(name), field_sep if name != names[-1] else row_sep
-        formats[name] = pre + cell + post, {pre + t + post: test for t, test in special.items()}
-    texts = [_cells(axis, *formats[name]) for name, axis in swept.items()]
+    # Each axis value is formatted once, and each grid value once in its block, into a NUL-padded
+    # field of bytes.  A block's rows are one byte matrix of the separators and the fields, axis
+    # fields broadcast over the block's open grid (lambda slowest), written less its NULs.
+    seps = [key.format(names[0])] + [field_sep + key.format(name) for name in names[1:]] + [row_sep]
+    seps = [np.frombuffer(sep.encode(), np.uint8) for sep in seps]
+    fields = {name: _field(axis, shortest, special) for name, axis in swept.items()}
     grid = values.reshape([axis.size for axis in swept.values()] or [1])
     blocks = _blocks(grid.shape)
     if path is None:
         sys.stdout.flush()
     with open(path, "wb") if path is not None else contextlib.nullcontext(sys.stdout.buffer) as handle:
-        _put(handle, head)
+        _put(handle, head.encode())
         for k, block in enumerate(blocks):
-            fields = dict(zip(swept, np.ix_(*[text[s] for text, s in zip(texts, block)])))
-            fields[quantity] = _cells(grid[block].ravel(), *formats[quantity]).reshape(grid[block].shape)
-            rows = np.stack(np.broadcast_arrays(*[fields[name] for name in names]), axis=-1)
-            _put(handle, "".join(rows.ravel().tolist()), len(row_sep) if k == len(blocks) - 1 else 0)
-        _put(handle, tail)
+            shape = grid[block].shape
+            cells = {name: np.expand_dims(fields[name][s], tuple(j for j in range(len(shape)) if j != i))
+                     for i, (name, s) in enumerate(zip(swept, block))}
+            cells[quantity] = _field(grid[block].ravel(), shortest, special).reshape(*shape, -1)
+            parts = [part for name, sep in zip(names, seps) for part in (sep, cells[name])] + seps[-1:]
+            rows = np.concatenate([np.broadcast_to(part, (*shape, part.shape[-1])) for part in parts], axis=-1).ravel()
+            _put(handle, rows[rows != 0], len(row_sep) if k == len(blocks) - 1 else 0)
+        _put(handle, tail.encode())
         handle.flush()
 
 
@@ -142,32 +144,119 @@ def _blocks(shape):
             for index in np.ndindex(*shape[:lead]) for start in range(0, shape[lead], run)]
 
 
-def _put(handle, text, drop=0):
-    """Write ``text`` less its last ``drop`` characters as ASCII.  A short write is retried for the
-    rest, so the device's own error surfaces; a write that stores nothing raises OSError."""
-    view = memoryview(text.encode("ascii"))[: len(text) - drop]
+def _put(handle, data, drop=0):
+    """Write the bytes ``data`` less its last ``drop``.  A short write is retried for the rest, so
+    the device's own error surfaces; a write that stores nothing raises OSError."""
+    view = memoryview(data)[: len(data) - drop]
     while view:
         if not (stored := handle.write(view)):
             raise OSError(f"{len(view)} bytes of the output were not written")
         view = view[stored:]
 
 
-def _cells(values, template, special):
-    """An object array of ``template % v`` for each value, or of the text whose mask function in
-    ``special`` (text -> function) holds for it; masked values are not formatted.
+def _field(values, shortest, special):
+    """A (values.size, width) uint8 array of each value's ASCII text, NUL-padded: ``"%.17g" % v``,
+    or ``repr(v)`` if ``shortest``, or the text whose mask function in ``special`` holds for ``v``.
+    One gather lays out the digits of ``_decimal``; Python formats the values it leaves."""
+    masks = {text.encode(): test(values) for text, test in special.items()}
+    plain = np.flatnonzero(~np.logical_or.reduce([np.zeros(values.size, bool), *masks.values()]))
+    x = values[plain]
+    n, exp, slow = _decimal(x, shortest)
+    words, zeros, layout, lengths = _tables(shortest)
+    src = np.empty((9, x.size), np.uint32)  # column-major: per value 3 pad bytes, 17 digits and _CHARS
+    src[5:] = np.frombuffer(_CHARS, np.uint32)[:, None]
+    trailing = np.zeros(x.size, np.uint8)  # trailing zero digits
+    for k in range(4, 0, -1):  # four digits at a time, from the last
+        n, chunk = n // 10**4, n % 10**4
+        np.take(words, chunk, out=src[k])
+        trailing += (trailing == 16 - 4 * k) * zeros[chunk]
+    np.take(words, n, out=src[0])
+    key = ((x < 0) * 23 + exp + 6) * 17 + 16 - trailing
+    texts = {i: (repr if shortest else "%.17g".__mod__)(float(values[i])).encode() for i in plain[slow]}
+    masks = {text: mask for text, mask in masks.items() if text and mask.any()}  # out starts as NULs
+    width = max([lengths[key].max(initial=0), *map(len, texts.values()), *map(len, masks)])
+    index = ((layout[:, :width] >> 2) * (4 * x.size) + (layout[:, :width] & 3))[key]
+    index += np.arange(0, 4 * x.size, 4)[:, None]
+    out = src.view(np.uint8).ravel().take(index)
+    if x.size < values.size:
+        out, plain_out = np.zeros((values.size, width), np.uint8), out
+        out[plain] = plain_out
+    for rows, text in [*texts.items(), *((mask, text) for text, mask in masks.items())]:
+        out[rows] = np.frombuffer(text.ljust(width, b"\0"), np.uint8)
+    return out
 
-    The plain values go through one ``%`` of the template repeated once per value, each
-    copy ended by a NUL (which no cell contains), and the result is split at the NULs.
-    """
-    cells = np.empty(values.size, dtype=object)
-    plain = np.ones(values.size, dtype=bool)
-    for text, test in special.items():
-        mask = test(values)
-        cells[mask] = text
-        plain &= ~mask
-    plain_values = tuple(values[plain].tolist())
-    cells[plain] = ((template + "\0") * len(plain_values) % plain_values).split("\0")[:-1]
-    return cells
+
+def _decimal(x, shortest):
+    """Digits n (10**16 <= n < 10**17) and exponent X of ``"%.17g" % x`` (``repr(x)`` if ``shortest``),
+    and a mask of the values left to Python: |x| outside (1e-6, 1e17), and for ``repr`` powers of two
+    (their gap below is half the gap above) and candidates on the edge of, or tied in, x's interval.
+    Dekker's product gives v = |x| 10**(16 - X) exactly as hi + lo.  ``%.17g`` rounds v half-even;
+    ``repr`` takes the nearest multiple of 10**q to v for the largest q that keeps it strictly
+    within h = 2**(E - 54) 10**(16 - X) of v, half the gap between x and its neighbours."""
+    a = np.abs(x)
+    slow = ~((a > 1e-6) & (a < 1e17))
+    a[slow] = 1.0
+    exp = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.int64)
+    pow10 = 10.0 ** np.arange(23)  # exact
+    a1 = 134217729.0 * a  # Veltkamp's split into 26-bit halves, a = a1 + a2
+    a1 -= a1 - a
+    a2 = a - a1
+    for _ in range(2):  # log10 may be one off near a power of ten; the exact product corrects it
+        p = pow10[16 - exp]
+        p1 = 134217729.0 * p
+        p1 -= p1 - p
+        hi = a * p
+        lo = ((a1 * p1 - hi) + a1 * (p - p1) + a2 * p1) + a2 * (p - p1)
+        off = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).astype(np.int64) - ((hi < 1e16) | (hi == 1e16) & (lo < 0))
+        if not off.any():
+            break
+        exp += off
+    slow |= off != 0
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)  # hi is even, so ties go to even
+    if shortest:
+        mantissa, e2 = np.frexp(a)
+        slow |= mantissa == 0.5
+        v, f, h, live = n.copy(), lo - np.rint(lo), np.ldexp(p, e2 - 54), np.arange(n.size)
+        for q in range(1, 17):  # v + f is exact; the candidates lie in (n - 10**q / 2, n + 10**q / 2]
+            m = 10**q
+            rem = v % m
+            candidate = v - rem + m * (2 * rem + (f > 0) > m)  # the nearest multiple of m to v + f
+            distance = np.abs((v - candidate) + f)  # rounded, but only equality with h is undecided
+            slow[live[(distance == h) | (2 * rem == m) & (f == 0) & (distance < h)]] = True
+            near = np.flatnonzero(distance < h)
+            v, f, h, live = v[near], f[near], h[near], live[near]
+            n[live] = candidate[near]
+            if not live.size:
+                break
+    return n, exp, slow
+
+
+_CHARS = b"0123456789.e+-\0\0"  # the constants a layout may take, after a value's 20 digit bytes
+
+
+@functools.cache
+def _tables(shortest):
+    """The ASCII of 0000 to 9999 as uint32s and the trailing zeros of each (4 for 0); per (sign, exponent
+    -6 to 16, digit count 1 to 17) the 24 byte indices of the text in a value's 36 bytes (digit i at 3 + i,
+    _CHARS from 20) and its length: fixed notation for exponents in [-4, 17) ([-4, 16) and ".0" for repr)."""
+    n = np.arange(10**4)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    zeros = np.argmax(np.c_[digits[:, ::-1] != 0, np.ones(n.size, bool)], axis=1).astype(np.uint8)
+    const, d = {c: 20 + i for i, c in enumerate(_CHARS.decode())}, list(range(3, 20))
+    table = np.full((2, 23, 17, 24), const["\0"])
+    for neg, e, c in np.ndindex(2, 23, 17):
+        exp, count = e - 6, c + 1
+        if not -4 <= exp < 17 - shortest:
+            cells = d[:1] + (["."] + d[1:count] if count > 1 else []) + ["e", "-+"[exp >= 0], *f"{abs(exp):02d}"]
+        elif exp < 0:
+            cells = ["0", "."] + ["0"] * (-exp - 1) + d[:count]
+        else:
+            frac = d[exp + 1:count] or ["0"] * shortest
+            cells = d[:exp + 1] + (["."] + frac if frac else [])
+        cells = ["-"] * neg + cells
+        table[neg, e, c, : len(cells)] = [const.get(cell, cell) for cell in cells]
+    table = table.reshape(-1, 24)
+    return (digits + 48).astype(np.uint8).view(np.uint32).ravel(), zeros, table, (table != const["\0"]).sum(axis=1)
 
 
 def _pair_sweep(args):
@@ -298,8 +387,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return globals()[f"_cmd_{args.command}"](args)  # looked up per call, not held by the parser
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, MemoryError) as exc:  # MemoryError: a grid too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (CutoffTooSmallError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

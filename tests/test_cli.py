@@ -5,9 +5,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymsqueeze import (
     BellSetting,
@@ -215,6 +218,17 @@ class TestWriterBytes:
         assert out.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_python_formatted_values_match_reference(self, fmt, tmp_path):
+        # zeros, subnormals, extremes and powers of two take Python's formatter, beside exact values
+        axes = {"lambda": np.array([0.0, 5e-324, 1e-300, 0.3]), "j": np.array([1e300, 2.0**-1074 * 3, 0.5])}
+        values = np.array([[1e-300, -1e300, 2.2250738585072014e-308 / 3, 2.0**-20, -0.0, 1e17],
+                           [1.0, -2.0, 0.1, 1e-7, 1e-5, 9007199254740993.0]]).reshape(4, 3)
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        cli._write_output(str(out), fmt, "bell", "test", axes, values)
+        reference_write(str(ref), fmt, "bell", "test", axes, values)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_matches_file(self, fmt, tmp_path, capsysbinary):
         argv = WRITER_CASES["bell-clip"] + ["--format", fmt]
         out = tmp_path / "out"
@@ -297,6 +311,103 @@ class ShortWriteFile:
 
     def flush(self):
         pass
+
+
+def formatted(values, shortest):
+    """The writer's text of each value: ``"%.17g" % v``, or ``repr(v)`` if ``shortest``."""
+    return [bytes(row).rstrip(b"\0").decode() for row in cli._field(np.asarray(values, float), shortest, {})]
+
+
+def python_formatted(values, shortest):
+    return [repr(v) if shortest else "%.17g" % v for v in np.asarray(values, float).tolist()]
+
+
+def powers_of_ten_and_neighbours():
+    tens = [10.0**k for k in range(-30, 31)]
+    return tens + [np.nextafter(t, s) for t in tens for s in (-np.inf, np.inf)]
+
+
+def seventeen_digit_ties():
+    """Doubles x with x 10**(16 - X) exactly half-way between two integers (X the decimal exponent)."""
+    halves = {13: (0.0625, 0.1875), 14: (0.125, 0.375), 15: (0.25, 0.75)}  # 10**(3, 2, 1) f = odd / 2
+    ties = [10.0**e + k + f for e, fs in halves.items() for k in (0, 7, 12345, 98765432) for f in fs]
+    for x in ties:
+        assert (Fraction(x) * 10 ** (16 - math.floor(math.log10(x)))).denominator == 2
+    return ties
+
+
+EDGE_VALUES = {
+    "powers-of-ten": powers_of_ten_and_neighbours(),
+    "powers-of-two": [2.0**k for k in range(-1074, 1024)],
+    "ties": seventeen_digit_ties(),
+    # two 16-digit candidates equally far inside the rounding interval: repr takes the even one
+    "repr-ties": [70000000000.0 + k / 64 for k in (1, 3, 5, 7)],
+    "zeros-and-subnormals": [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 2.2250738585072014e-308 / 3,
+                             np.nextafter(2.2250738585072014e-308, 0.0)],
+    "around-2**53": [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**54 + 4, 2.0**54 + 8],
+    # the switches between fixed and exponent notation
+    "notation": [1e-5, 1e-4, 1e15, 1e16, 1e17, 9.999999999999999e-05, 1.0000000000000001e-4, 9999999999999998.0,
+                 99999999999999984.0, 1e-6, 1.0000000000000002e-6, 9.9999999999999995e-7],
+    "integral": [2.0, 1e16, 123.0, 1e15, 4e16, 12345678901234567.0, 1.0, 10.0, 100.0],
+    "extremes": [1.7976931348623157e308, 1e300, 1e-300, 1e100],
+}
+# the value ranges of the benchmark's sweeps
+BENCH_RANGES = {
+    "lambda": (0.0, 1.5), "gamma": (-2.0, 2.0), "j": (0.004, 0.5), "theta": (0.0, 2 * math.pi),
+    "bell": (-2 * math.sqrt(2), 2 * math.sqrt(2)), "log_negativity": (0.0, 4.0), "fidelity": (0.0, 1.0),
+    "fidelity_difference": (-0.5, 0.5),
+}
+BITS = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+
+
+class TestFormatter:
+    """The vectorised formatter against Python's own, bit for bit."""
+
+    @pytest.mark.parametrize("shortest", [False, True], ids=["%.17g", "repr"])
+    @pytest.mark.parametrize("case", EDGE_VALUES)
+    def test_edge_values(self, case, shortest):
+        values = np.array(EDGE_VALUES[case] + [-v for v in EDGE_VALUES[case]])
+        assert formatted(values, shortest) == python_formatted(values, shortest)
+
+    @pytest.mark.parametrize("shortest", [False, True], ids=["%.17g", "repr"])
+    @pytest.mark.parametrize("name", BENCH_RANGES)
+    def test_bench_ranges(self, name, shortest):
+        values = np.random.default_rng(sorted(BENCH_RANGES).index(name)).uniform(*BENCH_RANGES[name], 10**5)
+        assert formatted(values, shortest) == python_formatted(values, shortest)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False) | BITS.filter(lambda x: not math.isnan(x)), min_size=1, max_size=50))
+    def test_any_double(self, values):
+        for shortest in (False, True):
+            assert formatted(values, shortest) == python_formatted(values, shortest)
+
+    def test_python_formats_what_the_vector_route_cannot_decide(self):
+        def left(values, shortest):
+            return cli._decimal(np.array(values), shortest)[2]
+
+        outside = [0.0, -0.0, 5e-324, 1e-6, -1e-7, 1e17, 1e300, math.inf, -math.inf, math.nan]
+        assert left(outside, False).all() and left(outside, True).all()
+        powers = [2.0**k for k in range(-19, 57)]  # asymmetric rounding intervals
+        assert left(powers, True).all() and not left(powers, False).any()
+        # a tie of two candidates inside the interval, and a candidate on its edge
+        edges = [70000000000.015625, 2.0**54 + 4]
+        assert left(edges, True).all() and not left(edges, False).any()
+        assert not left([0.1, 1.0000000000000002, 2.5, 1e-5, 9e16, 70000000000.0], True).any()
+
+    def test_ties_round_to_even(self):
+        assert formatted([1e14 + 0.125, 1e14 + 0.375], False) == ["100000000000000.12", "100000000000000.38"]
+
+    def test_python_formats_under_one_percent_of_a_bell_sweep(self, monkeypatch):
+        # lambda x J x theta as the benchmark's bell sweeps lay them out; Python formats what the
+        # vectorised route leaves (here the zeros at the start of the lambda and theta axes)
+        captured = {}
+        monkeypatch.setattr(cli, "_write_output", lambda *args: captured.update(axes=args[4], values=args[5]))
+        assert main(["bell", "--lambda", "0:1.15:60", "--gamma", "0.05", "--j", "0.005:0.48:60",
+                     "--theta", f"0:{TAU}:56", "--phi", "0.05"]) == 0
+        values = np.concatenate([captured["values"].ravel(), *captured["axes"].values()])
+        for shortest in (False, True):
+            share = cli._decimal(values, shortest)[2].mean()
+            assert 0 < share < 0.01
 
 
 def per_point_writer(value):
@@ -532,6 +643,19 @@ class TestValidationAndExitCodes:
             "error: tolerance breached by: covariance at (0.3, 0.7), cutoff 20; no cutoff up to 25 passes,"
             " and cutoff 30 fails: Fock series at cutoff 30 cancels to noise (norm deficit -1.000e-03)\n"
         )
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 201. GiB for an array with shape (3000, 1, 3000, 3000, 1)"),
+         "Unable to allocate 201. GiB for an array with shape (3000, 1, 3000, 3000, 1)"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_grid_too_large_to_allocate_exits_1(self, exc, message, monkeypatch, capsys):
+        def oversized(*args):
+            raise exc
+
+        monkeypatch.setattr(cli._kernels, "bell_values", oversized)
+        assert run_cli(["bell", "--lambda", "0:1:3000", "--j", "0.01:0.5:3000", "--theta", "0:1:3000"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_io_failure(self):
         assert run_cli(["negativity", "--lambda", "0:1:3", "--gamma", "0",
