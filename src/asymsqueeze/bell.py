@@ -19,7 +19,7 @@ of the log-negativity alone.
 import math
 from dataclasses import dataclass, field
 
-from . import _kernels
+from ._kernels import bell_values
 from .errors import ValidationError
 from .gaussian import PhasePoint
 from .state import SqueezeParams, coefficients, wigner_closed
@@ -73,7 +73,7 @@ class BellValue:
 def bell_function(params: SqueezeParams, setting: BellSetting) -> BellValue:
     """Closed-form CHSH combination (the four-exponential expression)."""
     c = coefficients(params)
-    return BellValue(_kernels.bell_values(c.m1, c.m2, c.m3, setting.j, setting.theta, setting.phi))
+    return BellValue(bell_values(c.m1, c.m2, c.m3, setting.j, setting.theta, setting.phi))
 
 
 def bell_from_wigner(params: SqueezeParams, setting: BellSetting) -> BellValue:
@@ -105,8 +105,9 @@ def maximize_bell(params: SqueezeParams):
     and, by the purity identity m1 m2 - m3^2 = 1, rho = 1 + m3 / sqrt(m1 m2)
     = 1 + tanh E_N.  So B_max depends on the log-negativity alone: 2 at
     lam = 0 (J* = 0), rising to 1 + 1.5 * 2^{-1/3} = 2.19055 as E_N grows.
-    That no setting off this line does better is checked numerically, not
-    proven.  The value returned is ``bell_function`` at the returned setting.
+    The line is the fixed set of (theta, phi) -> (phi + pi/2, theta - pi/2), an
+    involution that keeps B (proven symbolically).  That no setting off it does
+    better is checked numerically, not proven; the value is ``bell_function`` there.
     """
     c = coefficients(params)
     tanh_en = c.m3 / math.sqrt(c.m1 * c.m2)

@@ -2,10 +2,10 @@
 
 Subcommands
 -----------
-negativity : log-negativity surface over (lambda, gamma)
-bell       : CHSH value over any subset of lambda, gamma, J, theta, phi
-fidelity   : teleportation fidelity (or fidelity difference) over (lambda, gamma)
-verify     : closed-form-versus-Fock-oracle comparison suite
+negativity : log-negativity surface over (lambda, gamma), from state.log_negativity_values
+bell       : CHSH value over any subset of lambda, gamma, J, theta, phi, from bell.bell_values
+fidelity   : teleportation fidelity (or its difference) over (lambda, gamma), from teleport.fidelity_values
+verify     : closed-form-versus-Fock-oracle suite at verify.PLANS's pairs and verify.check_points
 
 Sweep axes take either a single value (``--gamma 0.5``) or an inclusive range
 ``min:max:steps`` (``--lambda 0:1.5:50``).  The output grid is the Cartesian
@@ -34,12 +34,11 @@ import sys
 import numpy as np
 
 from . import __version__
+from .bell import bell_values
 from .errors import CutoffTooSmallError, ValidationError, VerificationError
-from .gaussian import PhasePoint
-from .state import GAMMA_MAX, LAMBDA_MAX, SqueezeParams, coefficients_grid
-from . import _kernels
+from .state import GAMMA_MAX, LAMBDA_MAX, SqueezeParams, coefficients_grid, log_negativity_values
 from .teleport import fidelity_values
-from .verify import TOLERANCES, breached, oracle_deviations
+from .verify import PLANS, TOLERANCES, breached, check_points, oracle_deviations
 
 _AXIS_BOUNDS = {
     "lambda": (0.0, LAMBDA_MAX),
@@ -101,14 +100,14 @@ def _write_output(path, fmt, quantity, source, axes, values):
         meta_bits = [f"quantity={quantity}", f"source={source}", f"version={__version__}"]
         meta_bits += [f"{k}={v:.17g}" for k, v in sorted(fixed.items())]
         head, tail = "# " + " ".join(meta_bits) + "\n" + ",".join(names) + "\n", "\n"
-        shortest, special = False, {"": np.isnan}
+        shortest, blank = False, ""
         key, field_sep, row_sep = "", ",", "\n"
     else:
         # the bytes of json.dumps({"grid": records, "meta": meta}, sort_keys=True, indent=1)
         meta = {"quantity": quantity, "source": source, "version": __version__, "fixed": fixed}
         head = '{\n "grid": [\n  {\n   '
         tail = "\n  }\n ],\n" + json.dumps({"meta": meta}, sort_keys=True, indent=1)[2:] + "\n"
-        shortest, special = True, {"null": np.isnan, "Infinity": np.isposinf, "-Infinity": np.isneginf}
+        shortest, blank = True, "null"
         key, field_sep, row_sep = '"{}": ', ",\n   ", "\n  },\n  {\n   "
         names.sort()
     # Each axis value is formatted once, and each grid value once in its block, into a NUL-padded
@@ -116,7 +115,7 @@ def _write_output(path, fmt, quantity, source, axes, values):
     # fields broadcast over the block's open grid (lambda slowest), written less its NULs.
     seps = [key.format(names[0])] + [field_sep + key.format(name) for name in names[1:]] + [row_sep]
     seps = [np.frombuffer(sep.encode(), np.uint8) for sep in seps]
-    fields = {name: _field(axis, shortest, special) for name, axis in swept.items()}
+    fields = {name: _field(axis, shortest, blank) for name, axis in swept.items()}
     grid = values.reshape([axis.size for axis in swept.values()] or [1])
     blocks = _blocks(grid.shape)
     if path is None:
@@ -127,7 +126,7 @@ def _write_output(path, fmt, quantity, source, axes, values):
             shape = grid[block].shape
             cells = {name: np.expand_dims(fields[name][s], tuple(j for j in range(len(shape)) if j != i))
                      for i, (name, s) in enumerate(zip(swept, block))}
-            cells[quantity] = _field(grid[block].ravel(), shortest, special).reshape(*shape, -1)
+            cells[quantity] = _field(grid[block].ravel(), shortest, blank).reshape(*shape, -1)
             parts = [part for name, sep in zip(names, seps) for part in (sep, cells[name])] + seps[-1:]
             rows = np.concatenate([np.broadcast_to(part, (*shape, part.shape[-1])) for part in parts], axis=-1).ravel()
             _put(handle, rows[rows != 0], len(row_sep) if k == len(blocks) - 1 else 0)
@@ -154,12 +153,12 @@ def _put(handle, data, drop=0):
         view = view[stored:]
 
 
-def _field(values, shortest, special):
-    """A (values.size, width) uint8 array of each value's ASCII text, NUL-padded: ``"%.17g" % v``,
-    or ``repr(v)`` if ``shortest``, or the text whose mask function in ``special`` holds for ``v``.
+def _field(values, shortest, blank):
+    """A (values.size, width) uint8 array of each value's ASCII text, NUL-padded: ``blank`` for NaN,
+    else ``"%.17g" % v``, or ``json.dumps(v)`` if ``shortest`` (``repr(v)`` when v is finite).
     One gather lays out the digits of ``_decimal``; Python formats the values it leaves."""
-    masks = {text.encode(): test(values) for text, test in special.items()}
-    plain = np.flatnonzero(~np.logical_or.reduce([np.zeros(values.size, bool), *masks.values()]))
+    nan = np.isnan(values)
+    plain = np.flatnonzero(~nan)
     x = values[plain]
     n, exp, slow = _decimal(x, shortest)
     words, zeros, layout, lengths = _tables(shortest)
@@ -172,16 +171,16 @@ def _field(values, shortest, special):
         trailing += (trailing == 16 - 4 * k) * zeros[chunk]
     np.take(words, n, out=src[0])
     key = ((x < 0) * 23 + exp + 6) * 17 + 16 - trailing
-    texts = {i: (repr if shortest else "%.17g".__mod__)(float(values[i])).encode() for i in plain[slow]}
-    masks = {text: mask for text, mask in masks.items() if text and mask.any()}  # out starts as NULs
-    width = max([lengths[key].max(initial=0), *map(len, texts.values()), *map(len, masks)])
+    texts = {i: (json.dumps if shortest else "%.17g".__mod__)(float(values[i])).encode() for i in plain[slow]}
+    blank = blank.encode() if x.size < values.size else b""
+    width = max([lengths[key].max(initial=0), *map(len, texts.values()), len(blank)])
     index = ((layout[:, :width] >> 2) * (4 * x.size) + (layout[:, :width] & 3))[key]
     index += np.arange(0, 4 * x.size, 4)[:, None]
     out = src.view(np.uint8).ravel().take(index)
     if x.size < values.size:
         out, plain_out = np.zeros((values.size, width), np.uint8), out
         out[plain] = plain_out
-    for rows, text in [*texts.items(), *((mask, text) for text, mask in masks.items())]:
+    for rows, text in [*texts.items(), (nan, blank)]:
         out[rows] = np.frombuffer(text.ljust(width, b"\0"), np.uint8)
     return out
 
@@ -267,8 +266,7 @@ def _pair_sweep(args):
 
 def _cmd_negativity(args):
     axes, coeffs = _pair_sweep(args)
-    # libm's asinh, as log_negativity_closed takes it; numpy's may differ in the last place
-    vals = np.fromiter(map(math.asinh, coeffs.m3.ravel().tolist()), float)
+    vals = log_negativity_values(coeffs.m3)
     _write_output(args.output, args.format, "log_negativity", "asinh-m3-closed-form", axes, vals)
     return 0
 
@@ -278,7 +276,7 @@ def _cmd_bell(args):
     axes.update((name, _parse_axis(name, getattr(args, name))) for name in ("j", "theta", "phi"))
     m1, m2, m3 = (m[:, :, None, None, None] for m in (coeffs.m1, coeffs.m2, coeffs.m3))
     j, theta, phi = np.meshgrid(axes["j"], axes["theta"], axes["phi"], indexing="ij", sparse=True)
-    vals = _kernels.bell_values(m1, m2, m3, j, theta, phi)
+    vals = bell_values(m1, m2, m3, j, theta, phi)
     if args.clip_at_2:
         vals = np.where(vals > 2.0, vals, np.nan)
     _write_output(args.output, args.format, "bell", "displaced-parity-closed-form", axes, vals)
@@ -293,27 +291,10 @@ def _cmd_fidelity(args):
     return 0
 
 
-def _verify_points(grid, rng):
-    count = 6 if grid == "coarse" else 20
-    pts = []
-    for _ in range(count):
-        alpha = rng.uniform(-0.35, 0.35) + 1j * rng.uniform(-0.35, 0.35)
-        beta = rng.uniform(-0.35, 0.35) + 1j * rng.uniform(-0.35, 0.35)
-        pts.append(PhasePoint.from_complex(alpha, beta))
-    return pts
-
-
 def _cmd_verify(args):
+    pairs, points = PLANS[args.grid][0], check_points(args.grid)
     if args.lam is not None or args.gamma is not None:
-        lam = args.lam if args.lam is not None else 0.5
-        gamma = args.gamma if args.gamma is not None else 0.0
-        pairs = [(lam, gamma)]
-    elif args.grid == "coarse":
-        pairs = [(0.3, 0.7), (0.5, 1.0)]
-    else:
-        pairs = [(0.3, 0.7), (0.5, 1.0), (0.6, -0.5), (0.45, 0.0)]
-    rng = np.random.default_rng(20240814)
-    points = _verify_points(args.grid, rng)
+        pairs = [(args.lam if args.lam is not None else 0.5, args.gamma if args.gamma is not None else 0.0)]
     per_pair = {pair: oracle_deviations(SqueezeParams(*pair), args.cutoff, points) for pair in pairs}
 
     worst = {name: max(devs[name] for devs in per_pair.values()) for name in TOLERANCES}

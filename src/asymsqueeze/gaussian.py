@@ -109,7 +109,9 @@ def log_negativity(cov):
 
     n_plus^2 is the larger root of n^4 - Delta n^2 + det sigma (Delta = det u + det v - 2 det w; a
     discriminant down to -1e-9 is clamped to 0), and n_min^2 = det sigma / n_plus^2 avoids the
-    cancellation of Delta - sqrt(disc) under strong squeezing.
+    cancellation of Delta - sqrt(disc) under strong squeezing.  det sigma itself cancels at large lam
+    and |gamma|: off by up to about 1e-4 in the outer envelope (1.2e-4 at (4.875, -5)), where
+    ``state.log_negativity_closed`` holds 1e-14.
     """
     s = cov.entries
     det_u, det_v = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0], s[2, 2] * s[3, 3] - s[2, 3] * s[3, 2]

@@ -193,7 +193,12 @@ def log_negativity_closed(params: SqueezeParams) -> float:
     It holds 50 digits to 1e-14 max(1, E_N), free of the determinant cancellation
     of the generic ``log_negativity(covariance(params))`` at large lam and |gamma|.
     """
-    return math.asinh(coefficients(params).m3)
+    return float(log_negativity_values(coefficients(params).m3))
+
+
+def log_negativity_values(m3):
+    """E_N = asinh(m3) over a scalar m3 or a grid, as an array: libm's asinh (numpy's may differ in the last place)."""
+    return np.fromiter(map(math.asinh, np.ravel(m3).tolist()), float).reshape(np.shape(m3))
 
 
 def cf_closed(params: SqueezeParams, point: PhasePoint) -> float:

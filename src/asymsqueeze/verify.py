@@ -2,8 +2,8 @@
 
 ``oracle_deviations`` builds the oracle state once and measures how far each
 closed form lies from its brute-force counterpart; ``TOLERANCES`` and
-``breached`` judge them.  The CLI ``verify`` command and the acceptance suite
-both take their deviations and their tolerances from here.
+``breached`` judge them; ``PLANS`` and ``check_points`` give the CLI ``verify`` command's pairs
+and points.  That command and the acceptance suite take their deviations, tolerances and pairs from here.
 """
 
 import math
@@ -12,6 +12,7 @@ import numpy as np
 
 from . import fock
 from .bell import BellSetting, _chsh_from_wigner, _chsh_points, bell_function
+from .gaussian import PhasePoint
 from .state import SqueezeParams, cf_closed, covariance, fock_amplitudes, log_negativity_closed, wigner_closed
 
 #: Settings at which the closed CHSH value is checked against the combination
@@ -27,6 +28,16 @@ TOLERANCES = {
     "log-negativity": 1e-5,
     "bell-combination": 1e-6,
 }
+
+#: Parameter pairs and phase-point count of the CLI ``verify`` per ``--grid``.
+PLANS = {"coarse": (((0.3, 0.7), (0.5, 1.0)), 6),
+         "fine": (((0.3, 0.7), (0.5, 1.0), (0.6, -0.5), (0.45, 0.0)), 20)}
+
+
+def check_points(grid: str) -> list[PhasePoint]:
+    """``PLANS[grid]``'s count of points, Re and Im of alpha and beta uniform in [-0.35, 0.35), seed 20240814."""
+    draws = np.random.default_rng(20240814).uniform(-0.35, 0.35, (PLANS[grid][1], 4)).tolist()
+    return [PhasePoint.from_complex(complex(ar, ai), complex(br, bi)) for ar, ai, br, bi in draws]
 
 
 def oracle_deviations(params: SqueezeParams, cutoff: int, points) -> dict[str, float]:

@@ -36,7 +36,7 @@ from asymsqueeze import (
     wigner_closed,
 )
 from asymsqueeze import _kernels
-from asymsqueeze.verify import TOLERANCES, breached, oracle_deviations
+from asymsqueeze.verify import PLANS, TOLERANCES, breached, oracle_deviations
 
 
 def report(number, name, ok, detail):
@@ -112,7 +112,7 @@ def test_criterion_02_symmetric_reduction():
 def test_criterion_03_oracle_equivalence():
     rng = np.random.default_rng(103)
     start = time.monotonic()
-    pairs = [(0.3, 0.7), (0.5, 1.0), (0.6, -0.5)]
+    pairs = PLANS["fine"][0]
     points = [
         PhasePoint.from_complex(
             complex(*rng.uniform(-0.35, 0.35, 2)), complex(*rng.uniform(-0.35, 0.35, 2))

@@ -172,6 +172,27 @@ class TestAlgebraicIdentity:
             ).value
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    def test_exchange_symmetry_over_the_envelope(self, rng):
+        # (theta, phi) -> (phi + pi/2, theta - pi/2) swaps the kernel's exponents a and b and keeps
+        # theta + phi (test_certificate), so its two values differ by rounding alone: at most twice its
+        # bound 1e-13 + 8 eps J (m1 + m2 + 2|m3|) |t3|.  J is uniform on [0, 10] for half the draws and
+        # log-uniform on [1e-4, 10] for the rest; a third of the draws put theta near -phi.
+        n, near = 3000, slice(0, 1000)
+        lam, gamma = rng.uniform(0.0, 5.0, n), rng.uniform(-5.0, 5.0, n)
+        j = np.where(np.arange(n) % 2, rng.uniform(0.0, 10.0, n), 10.0 ** rng.uniform(-4.0, 1.0, n))
+        theta, phi = rng.uniform(-2 * math.pi, 2 * math.pi, (2, n))
+        theta[near] = -phi[near] + rng.uniform(-1.0, 1.0, 1000) * 10.0 ** -rng.uniform(0.0, 6.0, 1000)
+        c = [coefficients(SqueezeParams(*pair)) for pair in zip(lam.tolist(), gamma.tolist())]
+        m1, m2, m3 = (np.array([getattr(x, name) for x in c]) for name in ("m1", "m2", "m3"))
+        value = bell_values(m1, m2, m3, j, theta, phi)
+        swapped = bell_values(m1, m2, m3, j, phi + math.pi / 2, theta - math.pi / 2)
+        a = m1 * np.cos(phi) ** 2 + m2 * np.sin(phi) ** 2
+        b = m1 * np.sin(theta) ** 2 + m2 * np.cos(theta) ** 2
+        t3 = np.exp(-2.0 * j * (a + b) + 4.0 * j * np.cos(theta + phi) * m3)
+        bound = 1e-13 + 8 * EPS * j * (m1 + m2 + 2 * np.abs(m3)) * t3
+        assert np.all(np.abs(value - swapped) <= 2 * bound)
+        assert np.sum(value != swapped) >= 100  # the two routes round differently, and the sample sees it
+
     @pytest.mark.parametrize(
         "gamma,theta,phi",
         [

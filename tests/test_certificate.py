@@ -17,6 +17,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from asymsqueeze import (
     _kernels,
     coefficients,
     covariance,
+    enhanced_squeezing,
     heisenberg_transform,
     state,
 )
@@ -226,6 +228,31 @@ def test_chsh_exponents_are_the_wigner_exponent(exponent):
     assert kernel == pytest.approx(closed, abs=1e-14)
 
 
+def test_chsh_exchange_symmetry(monkeypatch):
+    # (theta, phi) -> (phi + pi/2, theta - pi/2) swaps the exponents a = m1 cos^2 phi + m2 sin^2 phi and
+    # b = m1 sin^2 theta + m2 cos^2 theta of _kernels.bell_values and keeps theta + phi, so it keeps B.
+    # Applied twice it is the identity; its fixed set is theta = phi + pi/2, the line maximize_bell takes.
+    m1, m2, m3, j = sp.symbols("m1 m2 m3 J", positive=True)
+    theta, phi = sp.symbols("theta phi", real=True)
+
+    def swap(t, p):
+        return p + sp.pi / 2, t - sp.pi / 2
+
+    def a(p):
+        return m1 * sp.cos(p) ** 2 + m2 * sp.sin(p) ** 2
+
+    def b(t):
+        return m1 * sp.sin(t) ** 2 + m2 * sp.cos(t) ** 2
+
+    theta2, phi2 = swap(theta, phi)
+    assert vanishes(a(phi2) - b(theta)) and vanishes(b(theta2) - a(phi)) and vanishes(theta2 + phi2 - theta - phi)
+    assert swap(theta2, phi2) == (theta, phi)
+    assert vanishes((theta2 - theta) + (phi2 - phi)) and sp.solve(theta2 - theta, theta) == [phi + sp.pi / 2]
+    # the kernel itself, run on the symbols with sympy's cos, sin and exp
+    monkeypatch.setattr(_kernels, "np", SimpleNamespace(cos=sp.cos, sin=sp.sin, exp=sp.exp))
+    assert vanishes(_kernels.bell_values(m1, m2, m3, j, theta, phi) - _kernels.bell_values(m1, m2, m3, j, theta2, phi2))
+
+
 def test_channel_form_is_minus_f():
     # chi_E(-eta*, -eta) is the CF at x = sqrt2 P (Re eta, Im eta), with exponent
     # -x^T K x / 2 = -|G (Re eta, Im eta)|^2 / 2, G = S^T Omega P
@@ -256,3 +283,49 @@ def test_closed_fidelities():
     assert vanishes(textbook + (s * x ** 2 + y ** 2 / s) / 2)
     squeezed = fidelity(s - f, 1 / s - f)
     assert vanishes(squeezed ** 2 - 1 / (f ** 2 - 2 * f * cosh2r + 1))  # both sides > 0
+
+
+def combined(v):
+    """``state._combine`` on the terms of lam (u) and of gamma = ln v, v a symbol or 1 (gamma = 0)."""
+    lam_terms = [SH, CH ** 2, SH ** 2] + [rational(t) for t in (sp.sinh(2 * LAM), sp.exp(-2 * LAM), sp.exp(-LAM))]
+    gamma = sp.log(v)
+    return state._combine(lam_terms, [rational(t) for t in (v ** 2, v ** -2, sp.cosh(gamma), 4 * sp.sinh(gamma / 2) ** 2)])
+
+
+def test_entanglement_exceeds_symmetric_state():
+    # m3(lam, gamma) - m3(lam, 0) = (cosh gamma - 1) sinh 2 lam, a product of two factors >= 0 for lam >= 0
+    # (u >= 1), zero only at gamma = 0 or lam = 0.  asinh increases, so E_N(lam, gamma) >= E_N(lam, 0),
+    # and E_N(lam, 0) = asinh(sinh 2 lam) = ln(s + sqrt(1 + s^2)) = ln u^2 = 2 lam, with s = sinh 2 lam
+    c, symmetric = combined(V), combined(sp.Integer(1))
+    s, cosh_gamma = rational(sp.sinh(2 * LAM)), rational(sp.cosh(GAMMA))
+    assert vanishes(symmetric.m3 - s)
+    assert vanishes(c.m3 - symmetric.m3 - (cosh_gamma - 1) * s)
+    assert vanishes(cosh_gamma - 1 - (V - 1) ** 2 / (2 * V)) and vanishes(s - (U ** 4 - 1) / (2 * U ** 2))
+    root = (U ** 2 + U ** -2) / 2  # > 0, so it is sqrt(1 + s^2)
+    assert vanishes(1 + s ** 2 - root ** 2) and vanishes(s + root - U ** 2)
+
+
+def test_fidelity_gain_identity():
+    # f(lam, gamma) - f(lam, 0) = 4 sinh^2(gamma/2) sinh lam (e^{-lam} - cosh gamma sinh lam), as the
+    # README states, with 4 sinh^2(gamma/2) sinh lam >= 0 for lam >= 0, zero only at gamma = 0 or lam = 0
+    c, symmetric = combined(V), combined(sp.Integer(1))
+    half, sh = rational(4 * sp.sinh(GAMMA / 2) ** 2), rational(sp.sinh(LAM))
+    assert vanishes(c.f - symmetric.f - half * sh * (rational(sp.exp(-LAM)) - rational(sp.cosh(GAMMA)) * sh))
+    assert vanishes(half - (V - 1) ** 2 / V) and vanishes(sh - (U ** 2 - 1) / (2 * U))
+    # both closed fidelities increase with f (f < 0 < k = cosh 2r), so F gains exactly where f does
+    f, k = sp.Symbol("f", negative=True), sp.Symbol("k", positive=True)
+    assert vanishes(sp.diff(1 / (1 - f), f) - 1 / (1 - f) ** 2)
+    radicand = f ** 2 - 2 * f * k + 1  # > 0, each term of it being > 0
+    assert sp.simplify(sp.diff(1 / sp.sqrt(radicand), f) - (k - f) * radicand ** sp.Rational(-3, 2)) == 0
+
+
+@pytest.mark.parametrize("lam, gamma", [(0.3, 1.0), (0.5, 1.0), (0.05, -3.0), (0.2, -3.0), (1.0, 0.1)])
+def test_fidelity_gain_sign_is_enhanced_squeezing(lam, gamma):
+    # e^{-lam} - cosh gamma sinh lam = cosh lam (1 - (1 + cosh gamma) tanh lam) with cosh lam > 0, so the
+    # gain is > 0 iff tanh lam < 1/(1 + cosh gamma): enhanced_squeezing's condition (for lam > 0, gamma != 0)
+    cosh_gamma = rational(sp.cosh(GAMMA))
+    assert vanishes(rational(sp.exp(-LAM)) - cosh_gamma * SH - CH * (1 - (1 + cosh_gamma) * SH / CH))
+    # the transcription, at points off the boundary (lam* = 0.416 at gamma = 1, 0.091 at 3, 0.547 at 0.1)
+    factor = float((1 - (1 + cosh_gamma) * SH / CH).subs({U: math.exp(lam), V: math.exp(gamma)}))
+    assert abs(factor) > 0.1
+    assert enhanced_squeezing(SqueezeParams(lam, gamma)) == (factor > 0)

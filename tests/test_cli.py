@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from asymsqueeze import (
     BellSetting,
     CutoffTooSmallError,
+    PhasePoint,
     SqueezeParams,
     ValidationError,
     __version__,
@@ -314,12 +317,13 @@ class ShortWriteFile:
 
 
 def formatted(values, shortest):
-    """The writer's text of each value: ``"%.17g" % v``, or ``repr(v)`` if ``shortest``."""
-    return [bytes(row).rstrip(b"\0").decode() for row in cli._field(np.asarray(values, float), shortest, {})]
+    """The writer's text of each value: ``"%.17g" % v``, or ``json.dumps(v)`` if ``shortest``."""
+    return [bytes(row).rstrip(b"\0").decode() for row in cli._field(np.asarray(values, float), shortest, "")]
 
 
 def python_formatted(values, shortest):
-    return [repr(v) if shortest else "%.17g" % v for v in np.asarray(values, float).tolist()]
+    # json.dumps(v) is repr(v) for finite v, and Infinity and -Infinity for the infinities
+    return [json.dumps(v) if shortest else "%.17g" % v for v in np.asarray(values, float).tolist()]
 
 
 def powers_of_ten_and_neighbours():
@@ -653,7 +657,7 @@ class TestValidationAndExitCodes:
         def oversized(*args):
             raise exc
 
-        monkeypatch.setattr(cli._kernels, "bell_values", oversized)
+        monkeypatch.setattr(cli, "bell_values", oversized)
         assert run_cli(["bell", "--lambda", "0:1:3000", "--j", "0.01:0.5:3000", "--theta", "0:1:3000"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -666,3 +670,68 @@ class TestValidationAndExitCodes:
         out = capsys.readouterr().out
         assert out.count("PASS") == 6
         assert "FAIL" not in out
+
+
+def library_decisions(source):
+    """What ``source`` decides that the library should: each package name it imports whose module
+    or name is private (dunders aside), each asinh, each random generator, and each list of
+    numeric pairs, one text apiece."""
+    def number(node):
+        node = node.operand if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) else node
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("asymsqueeze")):
+            names = (node.module or "").split(".") + [alias.name for alias in node.names]
+            found += [f"private import {name}" for name in names if name.startswith("_") and not name.endswith("__")]
+        elif isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names if a.name == "random" or "._" in a.name]
+        elif isinstance(node, (ast.Attribute, ast.Name, ast.alias)):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or node.name
+            if name in ("asinh", "default_rng", "RandomState", "Generator", "random"):
+                found.append(name)
+        if isinstance(node, (ast.List, ast.Tuple)) and any(
+                isinstance(item, ast.Tuple) and item.elts and all(map(number, item.elts)) for item in node.elts):
+            found.append(f"pair list at line {node.lineno}")
+    return found
+
+
+class TestOneHome:
+    """``cli.py`` parses, dispatches, formats and writes: E_N, the CHSH kernel and the ``verify``
+    plan come from the library, each from one home."""
+
+    def test_cli_makes_no_library_decision(self):
+        assert library_decisions(Path(cli.__file__).read_text(encoding="utf-8")) == []
+
+    def test_the_check_sees_each_kind(self):
+        source = ("from . import _kernels, __version__\nfrom ._kernels import bell_values\nimport math\n"
+                  "e = math.asinh(1.0)\nrng = np.random.default_rng(1)\npairs = [(0.3, 0.7), (0.6, -0.5)]\n"
+                  "bounds = {'j': (0.0, 10.0)}\n")
+        assert sorted(library_decisions(source)) == [
+            "asinh", "default_rng", "pair list at line 6", "private import _kernels", "private import _kernels", "random"]
+
+    @pytest.mark.parametrize("grid", verify.PLANS)
+    def test_check_points_are_four_scalar_draws_per_point(self, grid):
+        # one (count, 4) draw takes the generator's stream in the order of four scalar draws a point
+        rng = np.random.default_rng(20240814)
+        expected = []
+        for _ in range(verify.PLANS[grid][1]):
+            alpha = rng.uniform(-0.35, 0.35) + 1j * rng.uniform(-0.35, 0.35)
+            beta = rng.uniform(-0.35, 0.35) + 1j * rng.uniform(-0.35, 0.35)
+            expected.append(PhasePoint.from_complex(alpha, beta))
+        assert verify.check_points(grid) == expected
+
+    @pytest.mark.parametrize("grid", verify.PLANS)
+    def test_verify_runs_the_plan(self, grid, monkeypatch, capsys):
+        seen = []
+
+        def deviations(params, cutoff, points):
+            seen.append(((params.lam, params.gamma), cutoff, points))
+            return dict.fromkeys(verify.TOLERANCES, 0.0)
+
+        monkeypatch.setattr(cli, "oracle_deviations", deviations)
+        assert main(["verify", "--grid", grid]) == 0
+        pairs, _ = verify.PLANS[grid]
+        assert seen == [(pair, 40, verify.check_points(grid)) for pair in pairs]
+        assert capsys.readouterr().out.endswith(f"for {len(pairs)} parameter pair(s)\n")

@@ -25,6 +25,7 @@ from asymsqueeze import (
     wigner_closed,
 )
 from asymsqueeze import _kernels
+from asymsqueeze.state import log_negativity_closed, log_negativity_values
 
 
 def random_params(rng, lam_hi=1.5, gamma_hi=2.0):
@@ -146,6 +147,17 @@ class TestCoefficientsGrid:
                 scalar = coefficients(SqueezeParams(lam, gamma))
                 for field in FIELDS:
                     assert same_bits(getattr(grid, field)[i, k], getattr(scalar, field)), (lam, gamma, field)
+
+    def test_log_negativity_values_are_libm_asinh_bit_for_bit(self):
+        # the one home of E_N, for the CLI's grid and log_negativity_closed's scalar alike
+        grid = log_negativity_values(coefficients_grid(np.array(self.LAMS), np.array(self.GAMMAS)).m3)
+        assert grid.shape == (len(self.LAMS), len(self.GAMMAS))
+        for i, lam in enumerate(self.LAMS):
+            for k, gamma in enumerate(self.GAMMAS):
+                expected = math.asinh(coefficients(SqueezeParams(lam, gamma)).m3)
+                assert same_bits(grid[i, k], expected), (lam, gamma)
+                assert same_bits(log_negativity_closed(SqueezeParams(lam, gamma)), expected), (lam, gamma)
+        assert log_negativity_values(0.75).shape == () and same_bits(log_negativity_values(0.75), math.asinh(0.75))
 
     @pytest.mark.parametrize("lams, gammas", [([0.5, 5.5], [0.0]), ([-0.1], [0.0]), ([0.5], [1.0, -6.0]),
                                               ([0.5], [np.nan])])
