@@ -5,7 +5,7 @@ Subcommands
 negativity : log-negativity surface over (lambda, gamma), from state.log_negativity_values
 bell       : CHSH value over any subset of lambda, gamma, J, theta, phi, from bell.bell_values
 fidelity   : teleportation fidelity (or its difference) over (lambda, gamma), from teleport.fidelity_values
-verify     : closed-form-versus-Fock-oracle suite at verify.PLANS's pairs and verify.check_points
+verify     : closed-form-versus-Fock-oracle suite, verify.run at verify.PLANS's pairs and verify.check_points
 
 Sweep axes take either a single value (``--gamma 0.5``) or an inclusive range
 ``min:max:steps`` (``--lambda 0:1.5:50``).  The output grid is the Cartesian
@@ -36,9 +36,9 @@ import numpy as np
 from . import __version__
 from .bell import bell_values
 from .errors import CutoffTooSmallError, ValidationError, VerificationError
-from .state import GAMMA_MAX, LAMBDA_MAX, SqueezeParams, coefficients_grid, log_negativity_values
+from .state import GAMMA_MAX, LAMBDA_MAX, coefficients_grid, log_negativity_values
 from .teleport import fidelity_values
-from .verify import PLANS, TOLERANCES, breached, check_points, oracle_deviations
+from .verify import PLANS, TOLERANCES, breached, check_points, run
 
 _AXIS_BOUNDS = {
     "lambda": (0.0, LAMBDA_MAX),
@@ -295,34 +295,15 @@ def _cmd_verify(args):
     pairs, points = PLANS[args.grid][0], check_points(args.grid)
     if args.lam is not None or args.gamma is not None:
         pairs = [(args.lam if args.lam is not None else 0.5, args.gamma if args.gamma is not None else 0.0)]
-    per_pair = {pair: oracle_deviations(SqueezeParams(*pair), args.cutoff, points) for pair in pairs}
-
-    worst = {name: max(devs[name] for devs in per_pair.values()) for name in TOLERANCES}
+    worst, breaches = run(pairs, args.cutoff, points)
     failed = breached(worst)
     for name, tol in TOLERANCES.items():
         status = "FAIL" if name in failed else "PASS"
         print(f"check {name:<16s} max deviation {worst[name]:.3e}  (tolerance {tol:.0e})  {status}")
-    if failed:
-        reports = []
-        for pair, devs in per_pair.items():
-            if names := breached(devs):
-                passing = _passing_cutoff(SqueezeParams(*pair), args.cutoff, points)
-                reports.append(f"{', '.join(names)} at {pair}, cutoff {args.cutoff}; {passing}")
-        raise VerificationError(f"tolerance breached by: {' | '.join(reports)}")
+    if breaches:
+        raise VerificationError(f"tolerance breached by: {' | '.join(breaches)}")
     print(f"all {len(TOLERANCES)} oracle checks passed for {len(pairs)} parameter pair(s)")
     return 0
-
-
-def _passing_cutoff(params, cutoff, points):
-    """The smallest of cutoff+5, cutoff+10, ..., 2*cutoff at which every check passes, as text;
-    the search stops at the first whose states cannot be built, and names its error."""
-    for larger in range(cutoff + 5, 2 * cutoff + 1, 5):
-        try:
-            if not breached(oracle_deviations(params, larger, points)):
-                return f"cutoff {larger} passes"
-        except CutoffTooSmallError as exc:
-            return f"no cutoff up to {larger - 5} passes, and cutoff {larger} fails: {exc}"
-    return f"no cutoff up to {2 * cutoff} passes"
 
 
 @functools.cache  # one parser per process: parsing does not change it
@@ -356,10 +337,10 @@ def build_parser():
     add_io(p_fid)
 
     p_ver = sub.add_parser("verify", help="closed-form vs Fock-oracle checks")
-    p_ver.add_argument("--cutoff", type=int, default=40)
-    p_ver.add_argument("--grid", choices=("coarse", "fine"), default="coarse")
-    p_ver.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_ver.add_argument("--gamma", type=float, default=None)
+    p_ver.add_argument("--cutoff", type=int, default=40, help="Fock cutoff of the oracle (default: 40)")
+    p_ver.add_argument("--grid", choices=PLANS, default="coarse", help="pairs and points; only points with one pair")
+    p_ver.add_argument("--lambda", dest="lam", type=float, help="one pair, not the plan's; gamma 0.0 unless given")
+    p_ver.add_argument("--gamma", type=float, help="one pair, not the plan's; lambda 0.5 unless given")
     return parser
 
 

@@ -3,7 +3,8 @@
 ``oracle_deviations`` builds the oracle state once and measures how far each
 closed form lies from its brute-force counterpart; ``TOLERANCES`` and
 ``breached`` judge them; ``PLANS`` and ``check_points`` give the CLI ``verify`` command's pairs
-and points.  That command and the acceptance suite take their deviations, tolerances and pairs from here.
+and points.  ``run`` is the suite over a list of pairs: that command and acceptance criterion 03
+both call it.  Every maximum keeps NaN, so a NaN deviation fails wherever it falls.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 
 from . import fock
 from .bell import BellSetting, _chsh_from_wigner, _chsh_points, bell_function
+from .errors import CutoffTooSmallError
 from .gaussian import PhasePoint
 from .state import SqueezeParams, cf_closed, covariance, fock_amplitudes, log_negativity_closed, wigner_closed
 
@@ -56,15 +58,37 @@ def oracle_deviations(params: SqueezeParams, cutoff: int, points) -> dict[str, f
     return {
         "state-overlap": abs(1.0 - oracle.overlap(series)),
         "covariance": float(np.max(np.abs(fock.covariance_numeric(oracle).entries - covariance(params).entries))),
-        "wigner": max(abs(wigner[pt] - wigner_closed(params, pt)) for pt in points),
-        "char-fn": max(abs(cf[pt] - cf_closed(params, pt)) for pt in points),
+        "wigner": float(np.max([abs(wigner[pt] - wigner_closed(params, pt)) for pt in points])),
+        "char-fn": float(np.max([abs(cf[pt] - cf_closed(params, pt)) for pt in points])),
         "log-negativity": abs(fock.log_negativity_numeric(oracle) - log_negativity_closed(params)),
-        "bell-combination": max(
-            abs(bell_function(params, s).value - _chsh_from_wigner(wigner.__getitem__, s)) for s in BELL_SETTINGS
-        ),
+        "bell-combination": float(np.max(
+            [abs(bell_function(params, s).value - _chsh_from_wigner(wigner.__getitem__, s)) for s in BELL_SETTINGS]
+        )),
     }
 
 
 def breached(deviations: dict[str, float]) -> list[str]:
     """The checks whose deviation is not within its tolerance (NaN included), in ``TOLERANCES`` order."""
     return [name for name, tol in TOLERANCES.items() if not deviations[name] <= tol]
+
+
+def run(pairs, cutoff: int, points) -> tuple[dict[str, float], list[str]]:
+    """``oracle_deviations`` at each (lambda, gamma) of ``pairs``: the largest deviation per check over the
+    pairs (NaN if any is), and per breaching pair a text of its checks, the pair, ``cutoff`` and ``_passing_cutoff``."""
+    per_pair = {pair: oracle_deviations(SqueezeParams(*pair), cutoff, points) for pair in pairs}
+    worst = {name: float(np.max([devs[name] for devs in per_pair.values()])) for name in TOLERANCES}
+    return worst, [f"{', '.join(names)} at {pair}, cutoff {cutoff}; "
+                   f"{_passing_cutoff(SqueezeParams(*pair), cutoff, points)}"
+                   for pair, devs in per_pair.items() if (names := breached(devs))]
+
+
+def _passing_cutoff(params, cutoff, points):
+    """The smallest of cutoff+5, cutoff+10, ..., 2*cutoff at which every check passes, as text;
+    the search stops at the first whose states cannot be built, and names its error."""
+    for larger in range(cutoff + 5, 2 * cutoff + 1, 5):
+        try:
+            if not breached(oracle_deviations(params, larger, points)):
+                return f"cutoff {larger} passes"
+        except CutoffTooSmallError as exc:
+            return f"no cutoff up to {larger - 5} passes, and cutoff {larger} fails: {exc}"
+    return f"no cutoff up to {2 * cutoff} passes"

@@ -29,6 +29,7 @@ from asymsqueeze import (
     log_negativity_closed,
     verify,
 )
+from asymsqueeze.bell import BellValue
 from asymsqueeze.cli import main
 from asymsqueeze.teleport import _check_fidelity, fidelity_values
 
@@ -604,7 +605,7 @@ class TestValidationAndExitCodes:
         # at this pair the oracle's norm exceeds 1 by rounding, so 1 - overlap is about -7e-16
         assert run_cli(["verify", "--cutoff", "40", "--lambda", "0.6", "--gamma", "-0.5"]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("check ")]
-        assert len(lines) == 6
+        assert len(lines) == len(verify.TOLERANCES)
         assert all(float(line.split()[4]) >= 0.0 for line in lines)
 
     def test_verify_breach_names_a_cutoff_that_passes(self, capsys):
@@ -617,11 +618,12 @@ class TestValidationAndExitCodes:
         larger = int(match.group(1))
         assert 30 < larger <= 60
         assert run_cli(argv + ["--cutoff", str(larger)]) == 0
-        assert capsys.readouterr().out.count("PASS") == 6
+        assert capsys.readouterr().out.count("PASS") == len(verify.TOLERANCES)
 
     def test_verify_coarse_grid_by_default(self, capsys):
         assert run_cli(["verify"]) == 0
-        assert capsys.readouterr().out.endswith("all 6 oracle checks passed for 2 parameter pair(s)\n")
+        checks, pairs = len(verify.TOLERANCES), len(verify.PLANS["coarse"][0])
+        assert capsys.readouterr().out.endswith(f"all {checks} oracle checks passed for {pairs} parameter pair(s)\n")
 
     def test_verify_breach_that_no_cutoff_mends(self, monkeypatch, capsys):
         monkeypatch.setitem(verify.TOLERANCES, "covariance", 0.0)
@@ -634,19 +636,52 @@ class TestValidationAndExitCodes:
         # the search for a passing cutoff ends at the first one whose states cannot be built, and the
         # report keeps the breach (as at (1.0, 1.0), cutoff 80, whose search meets the series' gate at 135)
         monkeypatch.setitem(verify.TOLERANCES, "covariance", 0.0)
-        deviations = cli.oracle_deviations
+        deviations = verify.oracle_deviations
 
         def unbuildable_from_30(params, cutoff, points):
             if cutoff >= 30:
                 raise CutoffTooSmallError(f"Fock series at cutoff {cutoff} cancels to noise", -1e-3)
             return deviations(params, cutoff, points)
 
-        monkeypatch.setattr(cli, "oracle_deviations", unbuildable_from_30)
+        monkeypatch.setattr(verify, "oracle_deviations", unbuildable_from_30)
         assert run_cli(["verify", "--cutoff", "20", "--lambda", "0.3", "--gamma", "0.7"]) == 2
         assert capsys.readouterr().err == (
             "error: tolerance breached by: covariance at (0.3, 0.7), cutoff 20; no cutoff up to 25 passes,"
             " and cutoff 30 fails: Fock series at cutoff 30 cancels to noise (norm deficit -1.000e-03)\n"
         )
+
+    @pytest.mark.parametrize("at", [0, -1], ids=["first-pair", "last-pair"])
+    @pytest.mark.parametrize("check", verify.TOLERANCES)
+    def test_verify_fails_on_a_nan_at_any_pair(self, check, at, monkeypatch, capsys):
+        # the merge over pairs keeps a NaN wherever it falls (the builtin max keeps it only first)
+        pair = verify.PLANS["coarse"][0][at]
+
+        def nan_at_one_pair(params, cutoff, points):
+            return {name: math.nan if (name, (params.lam, params.gamma)) == (check, pair) else 0.0
+                    for name in verify.TOLERANCES}
+
+        monkeypatch.setattr(verify, "oracle_deviations", nan_at_one_pair)
+        assert run_cli(["verify"]) == 2
+        captured = capsys.readouterr()
+        assert f"check {check:<16s} max deviation nan" in captured.out
+        assert [line.split()[1] for line in captured.out.splitlines() if line.endswith("FAIL")] == [check]
+        report = f"{check} at {pair}, cutoff 40; no cutoff up to 80 passes"
+        assert captured.err == f"error: tolerance breached by: {report}\n"
+
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("check, closed_form", [
+        ("wigner", "wigner_closed"), ("char-fn", "cf_closed"), ("bell-combination", "bell_function")])
+    def test_verify_fails_on_a_nan_at_any_point(self, check, closed_form, at, monkeypatch, capsys):
+        # a check's maximum over points (or Bell settings) keeps a NaN wherever it falls
+        closed = getattr(verify, closed_form)
+        target = (verify.BELL_SETTINGS if check == "bell-combination" else verify.check_points("coarse"))[at]
+        nan = BellValue(math.nan) if check == "bell-combination" else math.nan
+        monkeypatch.setattr(verify, closed_form, lambda params, x: nan if x == target else closed(params, x))
+        assert run_cli(["verify", "--lambda", "0.3", "--gamma", "0.7"]) == 2
+        captured = capsys.readouterr()
+        assert f"check {check:<16s} max deviation nan" in captured.out
+        assert [line.split()[1] for line in captured.out.splitlines() if line.endswith("FAIL")] == [check]
+        assert captured.err.startswith(f"error: tolerance breached by: {check} at (0.3, 0.7), cutoff 40; ")
 
     @pytest.mark.parametrize("exc, message", [
         (MemoryError("Unable to allocate 201. GiB for an array with shape (3000, 1, 3000, 3000, 1)"),
@@ -668,7 +703,7 @@ class TestValidationAndExitCodes:
     def test_verify_passes_on_converged_point(self, capsys):
         assert run_cli(["verify", "--cutoff", "26", "--lambda", "0.3", "--gamma", "0.5"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == len(verify.TOLERANCES)
         assert "FAIL" not in out
 
 
@@ -730,7 +765,7 @@ class TestOneHome:
             seen.append(((params.lam, params.gamma), cutoff, points))
             return dict.fromkeys(verify.TOLERANCES, 0.0)
 
-        monkeypatch.setattr(cli, "oracle_deviations", deviations)
+        monkeypatch.setattr(verify, "oracle_deviations", deviations)
         assert main(["verify", "--grid", grid]) == 0
         pairs, _ = verify.PLANS[grid]
         assert seen == [(pair, 40, verify.check_points(grid)) for pair in pairs]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from asymsqueeze import SqueezeParams, cli, log_negativity_closed
+from asymsqueeze import SqueezeParams, cli, log_negativity_closed, verify
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,8 +52,9 @@ def test_readme_block_has_a_verify_command():
 def test_readme_verify_command_passes(argv, capsys):
     # without --lambda and --gamma, verify runs its coarse or fine list of pairs
     assert cli.main(argv) == 0
-    pairs = 4 if "fine" in argv else 2
-    assert capsys.readouterr().out.endswith(f"all 6 oracle checks passed for {pairs} parameter pair(s)\n")
+    pairs = len(verify.PLANS[cli.build_parser().parse_args(argv).grid][0])
+    expected = f"all {len(verify.TOLERANCES)} oracle checks passed for {pairs} parameter pair(s)\n"
+    assert capsys.readouterr().out.endswith(expected)
 
 
 def test_readme_states_the_writer_block_size():
