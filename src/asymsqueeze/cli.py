@@ -15,7 +15,10 @@ files.  CSV uses LF endings, a single ``#``-prefixed metadata line and %.17g
 floats.  JSON is a top-level {meta, grid} object with the bytes of
 ``json.dumps(..., sort_keys=True, indent=1)``, so its floats are Python's
 shortest round-trip repr.  Both read back as the same doubles.  A file is
-written as it is formatted, in blocks of at most ``_BLOCK_ROWS`` grid points.
+written as it is formatted, in blocks of at most ``_BLOCK_ROWS`` grid points:
+the calling thread formats each block while one writer thread, started and
+joined per file, opens the output, writes the blocks before it in order and
+closes it.  An exception on the writer thread is raised again in the caller.
 Floats are formatted exactly in numpy; Python formats the few values it cannot decide.
 
 Exit codes: 0 ok, 1 validation error (or a grid too large to allocate),
@@ -28,8 +31,10 @@ import contextlib
 import functools
 import json
 import math
+import queue
 import re
 import sys
+import threading
 
 import numpy as np
 
@@ -47,7 +52,7 @@ _AXIS_BOUNDS = {
     "theta": (-math.tau, math.tau),
     "phi": (-math.tau, math.tau),
 }
-_BLOCK_ROWS = 2**14  # grid points per written block; the writer holds one block's text at a time
+_BLOCK_ROWS = 2**14  # grid points per block; at most four blocks' text is held: formatting, queued (2), writing
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,18 +125,49 @@ def _write_output(path, fmt, quantity, source, axes, values):
     blocks = _blocks(grid.shape)
     if path is None:
         sys.stdout.flush()
-    with open(path, "wb") if path is not None else contextlib.nullcontext(sys.stdout.buffer) as handle:
-        _put(handle, head.encode())
+    # This thread formats each block and masks its NULs, so block-sized buffers come from its own
+    # malloc arena; the writer thread compacts each block and writes it while the next is formatted.
+    pending, failed = queue.Queue(2), []
+    writer = threading.Thread(target=_write_blocks, args=(path, pending, failed), name="asymsqueeze-writer")
+    writer.start()
+    try:
+        pending.put((head.encode(), slice(None)))
         for k, block in enumerate(blocks):
+            if failed:
+                break
             shape = grid[block].shape
             cells = {name: np.expand_dims(fields[name][s], tuple(j for j in range(len(shape)) if j != i))
                      for i, (name, s) in enumerate(zip(swept, block))}
             cells[quantity] = _field(grid[block].ravel(), shortest, blank).reshape(*shape, -1)
             parts = [part for name, sep in zip(names, seps) for part in (sep, cells[name])] + seps[-1:]
             rows = np.concatenate([np.broadcast_to(part, (*shape, part.shape[-1])) for part in parts], axis=-1).ravel()
-            _put(handle, rows[rows != 0], len(row_sep) if k == len(blocks) - 1 else 0)
-        _put(handle, tail.encode())
-        handle.flush()
+            keep = rows != 0
+            if k == len(blocks) - 1:
+                keep[keep.size - len(row_sep):] = False  # the file's last row has no separator
+            pending.put((rows, keep))
+        else:
+            pending.put((tail.encode(), slice(None)))
+    finally:
+        pending.put(None)
+        writer.join()
+    if failed:
+        raise failed[0]
+
+
+def _write_blocks(path, pending, failed):
+    """The writer thread: opens ``path`` (stdout if None), writes ``data[keep]`` of each pair taken from
+    ``pending`` until None, flushes and closes.  Its first exception goes to ``failed``, and it then
+    takes what is left up to the None, so the caller's puts never wait for good."""
+    item = ()
+    try:
+        with open(path, "wb") if path is not None else contextlib.nullcontext(sys.stdout.buffer) as handle:
+            while (item := pending.get()) is not None:
+                _put(handle, item[0][item[1]])
+            handle.flush()
+    except BaseException as exc:  # noqa: BLE001 - raised again in the caller
+        failed.append(exc)
+        while item is not None:
+            item = pending.get()
 
 
 def _blocks(shape):
@@ -143,10 +179,10 @@ def _blocks(shape):
             for index in np.ndindex(*shape[:lead]) for start in range(0, shape[lead], run)]
 
 
-def _put(handle, data, drop=0):
-    """Write the bytes ``data`` less its last ``drop``.  A short write is retried for the rest, so
-    the device's own error surfaces; a write that stores nothing raises OSError."""
-    view = memoryview(data)[: len(data) - drop]
+def _put(handle, data):
+    """Write the bytes ``data``.  A short write is retried for the rest, so the device's own error
+    surfaces; a write that stores nothing raises OSError."""
+    view = memoryview(data)
     while view:
         if not (stored := handle.write(view)):
             raise OSError(f"{len(view)} bytes of the output were not written")
@@ -165,11 +201,15 @@ def _field(values, shortest, blank):
     src = np.empty((9, x.size), np.uint32)  # column-major: per value 3 pad bytes, 17 digits and _CHARS
     src[5:] = np.frombuffer(_CHARS, np.uint32)[:, None]
     trailing = np.zeros(x.size, np.uint8)  # trailing zero digits
+    high = n // 10**8
+    rest = [(n - high * 10**8).astype(np.uint32), high.astype(np.uint32)]  # the last 8 digits, the first 9
     for k in range(4, 0, -1):  # four digits at a time, from the last
-        n, chunk = n // 10**4, n % 10**4
+        part = rest[k < 3]
+        rest[k < 3] = part // 10**4
+        chunk = part - rest[k < 3] * 10**4
         np.take(words, chunk, out=src[k])
         trailing += (trailing == 16 - 4 * k) * zeros[chunk]
-    np.take(words, n, out=src[0])
+    np.take(words, rest[1], out=src[0])
     key = ((x < 0) * 23 + exp + 6) * 17 + 16 - trailing
     texts = {i: (json.dumps if shortest else "%.17g".__mod__)(float(values[i])).encode() for i in plain[slow]}
     blank = blank.encode() if x.size < values.size else b""

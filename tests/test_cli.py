@@ -1,10 +1,12 @@
 import ast
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -188,6 +190,15 @@ WRITER_CASES = {
 }
 
 
+@pytest.fixture
+def threads_joined():
+    """Fails a test that leaves a thread running, such as the sweep writer's own."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
+
+
+@pytest.mark.usefixtures("threads_joined")
 class TestWriterBytes:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("case", WRITER_CASES)
@@ -249,6 +260,7 @@ class TestWriterBlockEdges(TestWriterBytes):
         monkeypatch.setattr(cli, "_BLOCK_ROWS", request.param)
 
 
+@pytest.mark.usefixtures("threads_joined")
 class TestWriterStreams:
     def test_memory_does_not_grow_with_the_grid(self, monkeypatch, rng):
         # blocks of 1,000 rows: a 4e4-row file may cost more than a 1e4-row one only by its value array
@@ -285,7 +297,7 @@ class TestWriterStreams:
         assert main(argv) == 0
         expected = (tmp_path / "out").read_bytes()
         device = ShortWriteFile(per_write, capacity)
-        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: device, raising=False)
+        monkeypatch.setattr(cli, "open", device.open, raising=False)
         assert main(argv) == code
         stored = bytes(device.stored)
         if code:
@@ -293,19 +305,68 @@ class TestWriterStreams:
             assert re.fullmatch(r"i/o error: \d+ bytes of the output were not written\n", capsys.readouterr().err)
         else:
             assert stored == expected
+        assert device.closed_by is device.opened_by is not threading.main_thread()
+
+    def test_closed_pipe_on_the_writer_thread_exits_3(self, monkeypatch, capsys):
+        # the same failure as test_closed_stdout_pipe_exits_3, in this process
+        read, write = os.pipe()
+        os.close(read)
+        with io.TextIOWrapper(open(write, "wb", buffering=0)) as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            assert main(["bell", "--lambda", "0:1:30", "--j", "0.01:0.5:30"]) == 3
+        assert capsys.readouterr().err == "i/o error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("exc, code", [(MemoryError, 1), (KeyboardInterrupt, None)])
+    def test_main_thread_failure_stops_the_writer(self, exc, code, tmp_path, monkeypatch, capsys):
+        # blocks of 7 rows: the fourth block's values fail to format; the writer writes at most what was
+        # handed to it, then closes the file on its own thread
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+        argv = WRITER_CASES["bell-clip"] + ["--format", "json", "--output", str(tmp_path / "out")]
+        assert main(argv) == 0
+        expected = (tmp_path / "out").read_bytes()
+        calls, field, device = [], cli._field, ShortWriteFile(math.inf, math.inf)
+
+        def failing(values, *args):
+            calls.append(values.size)
+            if len(calls) == 2 + 4:  # the lambda and J axes, then one call per block
+                raise exc()
+            return field(values, *args)
+
+        monkeypatch.setattr(cli, "_field", failing)
+        monkeypatch.setattr(cli, "open", device.open, raising=False)
+        if code is None:
+            with pytest.raises(exc):
+                main(argv)
+        else:
+            assert main(argv) == code
+            assert capsys.readouterr().err == "error: out of memory\n"
+        assert len(calls) == 6
+        assert expected.startswith(bytes(device.stored)) and len(device.stored) < len(expected)
+        assert device.closed_by is device.opened_by is not threading.main_thread()
+
+    def test_open_failure_on_the_writer_thread_exits_3(self, tmp_path, capsys):
+        assert main(WRITER_CASES["bell-clip"] + ["--output", str(tmp_path / "missing" / "out")]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: [Errno 2] No such file or directory: ")
 
 
 class ShortWriteFile:
     """A file whose text or binary writes store at most ``per_write`` characters each, and nothing
-    once ``capacity`` are stored; each write returns the count it stored."""
+    once ``capacity`` are stored; each write returns the count it stored.  It records the threads
+    that open and close it."""
 
     def __init__(self, per_write, capacity):
         self.per_write, self.capacity, self.stored = per_write, capacity, bytearray()
+        self.opened_by = self.closed_by = None
+
+    def open(self, *args, **kwargs):
+        self.opened_by = threading.current_thread()
+        return self
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        self.closed_by = threading.current_thread()
         return False
 
     def write(self, data):

@@ -16,10 +16,13 @@ import functools
 import importlib
 import importlib.util
 import re
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from asymsqueeze import cli
 from asymsqueeze.cli import main
 from asymsqueeze.verify import TOLERANCES
 
@@ -68,6 +71,30 @@ VERIFY_CHECKS = _assigned(PERFBENCH / "checks.py", "VERIFY_CHECKS")
 def test_traced_name_resolves(module, attribute, span):
     obj = functools.reduce(getattr, attribute.split("."), importlib.import_module(module))
     assert callable(obj), (module, attribute)
+
+
+def test_traced_names_run_on_the_main_thread(tmp_path, monkeypatch):
+    # the tracer keeps one span stack, so the sweep writer's own thread may call no traced name;
+    # each is wrapped as the tracer wraps it, every package reference to it included
+    threads = set()
+    for module, attribute, _ in TARGETS:
+        *outer, leaf = attribute.split(".")
+        owner = functools.reduce(getattr, outer, importlib.import_module(module))
+        original = getattr(owner, leaf)
+
+        def traced(*args, _original=original, **kwargs):
+            threads.add(threading.current_thread())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, leaf, traced)
+        for package_module in [m for name, m in sys.modules.items() if name.startswith("asymsqueeze")]:
+            for key, value in list(vars(package_module).items()):
+                if value is original:
+                    monkeypatch.setattr(package_module, key, traced)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    argv = ["bell", "--lambda", "0:1.2:13", "--j", "0.01:0.5:9", "--clip-at-2", "--format", "json"]
+    assert main(argv + ["--output", str(tmp_path / "bell.json")]) == 0
+    assert threads == {threading.main_thread()}
 
 
 @pytest.mark.parametrize("module, attribute", WORKLOAD_NAMES, ids=[f"{m}:{a}" for m, a in WORKLOAD_NAMES])
