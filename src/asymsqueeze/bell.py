@@ -8,7 +8,8 @@ quantum state exceeds 2 sqrt(2).
 Two evaluation routes are kept deliberately separate: ``bell_function``
 evaluates the four-exponential closed form, ``bell_from_wigner`` assembles it
 from the closed-form Wigner function; their algebra is proven the same symbolically.
-The first holds 50 digits to 1e-13 + 8 eps J (m1 + m2 + 2|m3|) times its fourth term.
+The first holds 50 digits to 1e-13 + 8 eps J (m1 + m2 + 2|m3|) times its fourth term;
+the second, four exp(-|G x|^2) (``state.wigner_closed``), holds 1e-13 across the box.
 The four-Wigner assembly has one home, ``_chsh_from_wigner``, which takes any
 Wigner function; ``verify`` evaluates the Fock oracle's at ``_chsh_points``
 in one batch and feeds it those values.  ``maximize_bell``

@@ -31,8 +31,8 @@ _UNCERTAINTY_TOL = 1e-9
 class CovarianceMatrix:
     """Real symmetric 4x4 covariance matrix of a physical two-mode state.
 
-    Construction validates symmetry (1e-12), positive definiteness, and the
-    uncertainty relation: both Williamson eigenvalues >= 1/2 - 1e-9.
+    Construction validates finiteness, symmetry (1e-12), positive definiteness,
+    and the uncertainty relation: both Williamson eigenvalues >= 1/2 - 1e-9.
     """
 
     entries: np.ndarray
@@ -41,6 +41,8 @@ class CovarianceMatrix:
         arr = np.array(self.entries, dtype=float)
         if arr.shape != (4, 4):
             raise InvalidCovarianceError(f"expected 4x4 matrix, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidCovarianceError("matrix has a non-finite entry")
         if np.max(np.abs(arr - arr.T)) > _SYMMETRY_TOL:
             raise InvalidCovarianceError("matrix is not symmetric to 1e-12")
         arr = 0.5 * (arr + arr.T)

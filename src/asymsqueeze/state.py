@@ -9,7 +9,8 @@ gamma = 0).  For gamma != 0 the generator mixes single-mode squeezing of each
 mode into the two-mode squeezing, which is what makes the entanglement,
 nonlocality and teleportation behaviour richer than the symmetric case.
 
-All closed forms in this module are driven by three exponent coefficients
+W, the CF and ``teleport``'s channel CF take G = S^T Omega (S = ``heisenberg_transform``),
+pi^2 W(x) = exp(-|G x|^2); the other closed forms take the three coefficients
 
     m1 = cosh^2(lam) + e^{2 gamma}  sinh^2(lam)
     m2 = cosh^2(lam) + e^{-2 gamma} sinh^2(lam)
@@ -30,7 +31,7 @@ import numpy as np
 from . import _kernels
 from .errors import CutoffTooSmallError, ValidationError
 from .fock import _DEFICIT_LIMIT, FockState2
-from .gaussian import CovarianceMatrix
+from .gaussian import SYMPLECTIC_FORM, CovarianceMatrix
 
 if TYPE_CHECKING:
     from .gaussian import PhasePoint
@@ -77,9 +78,9 @@ class SqueezeParams:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """The four scalars every closed form is computed from.
+    """The four scalars of sigma, E_N, the fidelities, the Fock series and the CHSH closed form.
 
-    m1, m2, m3 are the Wigner exponent coefficients; f the teleportation
+    m1, m2, m3 are twice sigma's entries; f the teleportation
     scalar (always negative, so fidelities stay inside (0, 1]).  From
     ``coefficients_grid`` each field is an array over the grid."""
 
@@ -164,22 +165,22 @@ def covariance(params: SqueezeParams) -> CovarianceMatrix:
     return CovarianceMatrix(sig)
 
 
+def _gaussian_form(params):
+    """G = S^T Omega (S = ``heisenberg_transform``): pi^2 W(x) = exp(-|G x|^2), CF(x) = exp(-|G x|^2 / 4)."""
+    return heisenberg_transform(params).T @ SYMPLECTIC_FORM
+
+
 def _wigner_exponent(params, point):
-    """-m1 (q1^2 + p2^2) - m2 (p1^2 + q2^2) + 2 m3 (q1 q2 - p1 p2), the exponent of pi^2 W."""
-    c = coefficients(params)
-    return (
-        -c.m1 * (point.q1 ** 2 + point.p2 ** 2)
-        - c.m2 * (point.p1 ** 2 + point.q2 ** 2)
-        + 2.0 * (point.q1 * point.q2 - point.p1 * point.p2) * c.m3
-    )
+    """-|G x|^2 at x = (q1, p1, q2, p2), the exponent of pi^2 W."""
+    v = _gaussian_form(params) @ np.array([point.q1, point.p1, point.q2, point.p2])
+    return -(v @ v)
 
 
 def wigner_closed(params: SqueezeParams, point: PhasePoint) -> float:
-    """Closed-form Wigner density at a phase-space point.
+    """Closed-form Wigner density exp(-|G x|^2) / pi^2 at a phase-space point, G = S^T Omega.
 
-    W = (1/pi^2) exp[-m1 (q1^2 + p2^2) - m2 (p1^2 + q2^2) + 2 m3 (q1 q2 - p1 p2)]
-      = exp(-x^T sigma^{-1} x / 2) / pi^2 with sigma = ``covariance`` (proven symbolically),
-    to W (8 eps Sigma + 4 eps) in floating point, Sigma the size of the exponent's terms.
+    |G x|^2 = x^T sigma^{-1} x / 2 (proven symbolically) cancels only G x's products, of size
+    e^{2 lam + |gamma|} |x|, to |G x|: W holds 1e-9 relative at the state's scale across the box.
     """
     return math.exp(_wigner_exponent(params, point)) / math.pi ** 2
 
@@ -202,11 +203,10 @@ def log_negativity_values(m3):
 
 
 def cf_closed(params: SqueezeParams, point: PhasePoint) -> float:
-    """Closed-form symmetric-order characteristic function exp(-Q/4), pi^2 W = exp(-Q).
+    """Closed-form symmetric-order characteristic function exp(-|G x|^2 / 4), pi^2 W = exp(-|G x|^2).
 
-    A pure state has sigma^{-1} = 4 Omega sigma Omega^T, so the CF's kernel
-    Omega^T sigma Omega is sigma^{-1}/4, proven symbolically.  Q's own terms, of
-    size Sigma, hold the CF to CF (2 eps Sigma + 4 eps).
+    A pure state has sigma^{-1} = 4 Omega sigma Omega^T, so the CF's kernel Omega^T sigma Omega
+    is sigma^{-1}/4 (proven symbolically); it holds as ``wigner_closed`` does.
     """
     return math.exp(_wigner_exponent(params, point) / 4.0)
 
@@ -243,8 +243,8 @@ def heisenberg_transform(params: SqueezeParams) -> np.ndarray:
     P2 -> P2 cosh(lam) - P1 e^{-gamma} sinh(lam)
     Both blocks have unit determinant and the p block is the transpose-inverse
     of the q block, so S Omega S^T = Omega; the transformed vacuum S S^T / 2
-    reproduces ``covariance``.  ``fidelity_quadrature`` takes the channel CF
-    from S, and the tests take S as the Heisenberg-picture reference.
+    reproduces ``covariance``.  W, the CF and the channel CF take S as G = S^T Omega
+    (``_gaussian_form``); the tests take S as the Heisenberg-picture reference.
     """
     ch = math.cosh(params.lam)
     sh = math.sinh(params.lam)

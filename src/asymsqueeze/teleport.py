@@ -30,8 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import QuadratureDomainError, ValidationError
-from .gaussian import SYMPLECTIC_FORM
-from .state import SqueezeParams, coefficients, heisenberg_transform
+from .state import SqueezeParams, _gaussian_form, coefficients
 
 _AMPLITUDE_MAX = 10.0
 _SQUEEZE_MAX = 3.0
@@ -113,13 +112,12 @@ def cf_input(state: InputState, eta):
 def fidelity_quadrature(state: InputState, params: SqueezeParams) -> Fidelity:
     """Fidelity by 2D quadrature of the CF overlap integrand.
 
-    A pure Gaussian state's CF is exp(-x^T Omega^T sigma Omega x / 2) with
-    sigma = S S^T / 2 (S = ``heisenberg_transform``), and chi_E(-eta*, -eta)
-    takes it at x = sqrt(2) P (Re eta, Im eta) (P = ``_ETA_TO_PHASE``), so its
-    exponent is -|G (Re eta, Im eta)|^2 / 2 with G = S^T Omega P.  The real
-    2x2 form q = G^T G / 2 is built once per call as a Gram product, in which
-    no large terms cancel: it holds -f I to about eps e^{2 lam} relative, the
-    rounding of G's entries cosh(lam) - e^{+-gamma} sinh(lam).  The integrand
+    chi_E(-eta*, -eta) is the state's CF exp(-|G x|^2 / 4), G = ``state._gaussian_form``,
+    at x = sqrt(2) P (Re eta, Im eta), P = ``_ETA_TO_PHASE``, so its exponent is
+    -|g (Re eta, Im eta)|^2 / 2 with g = G P.  The real 2x2 form q = g^T g / 2 is
+    built once per call as a Gram product, in which no large terms cancel: it holds
+    -f I to about eps e^{2 lam} relative, the rounding of g's entries
+    cosh(lam) - e^{+-gamma} sinh(lam).  The integrand
     |chi_in|^2 * chi_E is evaluated point by point on a 61 x 61 grid
     (``_NODES``, ``_kernels.teleport_integrand``).  It is a centered Gaussian,
     and so is |chi_in|^2 alone, with no cross term; each axis decay rate c is
@@ -136,7 +134,7 @@ def fidelity_quadrature(state: InputState, params: SqueezeParams) -> Fidelity:
     raises QuadratureDomainError (cannot happen inside the parameter
     envelopes).
     """
-    g = heisenberg_transform(params).T @ SYMPLECTIC_FORM @ _ETA_TO_PHASE
+    g = _gaussian_form(params) @ _ETA_TO_PHASE
     q = g.T @ g / 2.0
 
     def chi_in(eta):

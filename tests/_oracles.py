@@ -2,7 +2,9 @@
 
 These deliberately avoid the library code paths they check: symplectic
 spectra by a generic eigensolver, matrix exponentials by scaled Taylor series,
-the CHSH maximum from its closed form in 50-digit arithmetic.
+the CHSH maximum from its closed form in 50-digit arithmetic.  The one
+bound here, ``exponent_error_bound``, is a rounding-error bound that the float
+Gaussian form is held to, not a reference value.
 """
 
 import mpmath
@@ -16,6 +18,32 @@ OMEGA = np.array(
         [0.0, 0.0, -1.0, 0.0],
     ]
 )
+
+
+EPS = np.finfo(float).eps
+# Unit roundoff, and an allowance of LIBM_ULPS ulps (each at most eps relative) per libm cosh,
+# sinh, exp, cos or sin.  G = S^T Omega only moves and negates S's entries cosh(lam) and
+# sinh(lam) e^{-+gamma}, each two libm values and at most one rounded product or quotient:
+# G_ENTRY relative.
+U = EPS / 2
+LIBM_ULPS = 2
+G_ENTRY = 2 * LIBM_ULPS * EPS + U
+
+
+def exponent_error_bound(g, x, x_error=0.0):
+    """A running error bound (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 3), to first order in U, on the float |G x|^2 from the computed G (``state._gaussian_form``)
+    and the float point x, each of whose entries is off by at most x_error relative from the
+    point meant (0 when x is the point meant).
+
+    Entry i of G x adds the products G_ij x_j (two of them nonzero), each within
+    G_ENTRY + x_error + U, in one rounded sum: it is off by at most
+    e_i = (G_ENTRY + x_error + 2U) sum_j |G_ij x_j|.  Those products are of size
+    e^{2 lam + |gamma|} |x| and cancel to the state's own scale |G x|.  Squaring and summing
+    the four entries adds sum_i e_i (2 |(G x)_i| + e_i), and its own rounding 4U |G x|^2."""
+    v = g @ x
+    e = (G_ENTRY + x_error + 2 * U) * (np.abs(g) @ np.abs(x))
+    return float(e @ (2.0 * np.abs(v) + e) + 4 * U * (v @ v))
 
 
 def symplectic_eigs_generic(sigma, ppt=False):

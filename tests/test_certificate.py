@@ -7,10 +7,11 @@ holds exactly for every lam and gamma, not only inside the envelope.
 
 The link to the float code: m1, m2, m3 and f are ``_oracles.coefficient_formulas``,
 the expressions that the envelope tests evaluate at 50 digits and hold the float
-code to; ``state._combine`` and ``state._wigner_exponent`` are called on symbols
-themselves; and S and sigma are written as ``heisenberg_transform`` and
-``covariance`` write them, which ``test_float_code_writes_the_proven_matrices``
-checks bit for bit.
+code to; ``state._combine`` is called on symbols itself, and so is
+``state._wigner_exponent``, with the symbolic S in place of
+``heisenberg_transform``'s; and S and sigma are written as
+``heisenberg_transform`` and ``covariance`` write them, which
+``test_float_code_writes_the_proven_matrices`` checks bit for bit.
 """
 
 import dataclasses
@@ -27,7 +28,6 @@ from _oracles import coefficient_formulas
 from asymsqueeze import (
     SYMPLECTIC_FORM,
     BellSetting,
-    Coefficients,
     PhasePoint,
     SqueezeParams,
     _kernels,
@@ -85,8 +85,8 @@ def test_package_does_not_import_sympy(child_env):
 
 @pytest.fixture
 def exponent(monkeypatch):
-    """``state._wigner_exponent`` at a symbolic PhasePoint, on the symbolic coefficients."""
-    monkeypatch.setattr(state, "coefficients", lambda params: Coefficients(M1, M2, M3, F))
+    """``state._wigner_exponent`` at a symbolic PhasePoint, on the symbolic S."""
+    monkeypatch.setattr(state, "heisenberg_transform", lambda params: np.array(s_entries(CH, SH, V), dtype=object))
     return lambda *x: state._wigner_exponent(None, PhasePoint(*x))
 
 

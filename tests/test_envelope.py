@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from _oracles import coefficients_50_digits
+from _oracles import EPS, LIBM_ULPS, U, coefficients_50_digits, exponent_error_bound
 from asymsqueeze import (
     Coherent,
     PhasePoint,
@@ -26,8 +26,8 @@ from asymsqueeze import (
     wigner_closed,
 )
 from asymsqueeze.cli import main
+from asymsqueeze.state import _gaussian_form
 
-EPS = np.finfo(float).eps
 LAMS = np.linspace(0.0, 5.0, 21)
 GAMMAS = np.linspace(-5.0, 5.0, 21)
 
@@ -141,41 +141,45 @@ def state_scale_points(rng, count=600):
         yield params, heisenberg_transform(params) @ z
 
 
+def old_sum_size(params, x):
+    """Sigma = m1 (q1^2 + p2^2) + m2 (p1^2 + q2^2) + 2 m3 |q1 q2 - p1 p2|: the size of the terms
+    of the m-coefficient form of Q, which held W only to W (8 eps Sigma + 4 eps)."""
+    c = coefficients(params)
+    q1, p1, q2, p2 = x
+    return c.m1 * (q1 * q1 + p2 * p2) + c.m2 * (p1 * p1 + q2 * q2) + 2.0 * c.m3 * abs(q1 * q2 - p1 * p2)
+
+
 def test_wigner_closed_over_the_envelope(rng):
-    # wigner_closed sums the terms of Q(x), of total size
-    # Sigma = m1 (q1^2 + p2^2) + m2 (p1^2 + q2^2) + 2 m3 |q1 q2 - p1 p2|,
-    # so it holds W (8 eps Sigma + 4 eps), the rounding of that sum and of exp and 1/pi^2
-    worst, rounding_terms = 0.0, []
+    # W = exp(-|G x|^2) / pi^2 is off by exp(E) - 1 relative from the exponent's error E, and by
+    # the roundings of exp (LIBM_ULPS eps), pi, its square and the division (4U)
+    worst_ratio, worst, old_terms = 0.0, 0.0, []
     for params, x in state_scale_points(rng):
-        c = coefficients(params)
-        q1, p1, q2, p2 = x
-        sigma = c.m1 * (q1 * q1 + p2 * p2) + c.m2 * (p1 * p1 + q2 * q2) + 2.0 * c.m3 * abs(q1 * q2 - p1 * p2)
+        bound = math.expm1(exponent_error_bound(_gaussian_form(params), x)) + LIBM_ULPS * EPS + 4 * U
         with mpmath.workdps(50):
             exact = mpmath.exp(-exponent_50_digits(params.lam, params.gamma, x)) / mpmath.pi ** 2
-            error = abs(wigner_closed(params, PhasePoint(*x)) - exact)
-            worst = max(worst, float(error / (exact * (8 * EPS * sigma + 4 * EPS))))
-        rounding_terms.append(8 * EPS * sigma)
-    assert worst <= 1.0
-    # the sample reaches the points where W holds far less than double precision
-    assert sum(term > 1e-9 for term in rounding_terms) >= 100
+            error = float(abs(wigner_closed(params, PhasePoint(*x)) - exact) / exact)
+        worst_ratio, worst = max(worst_ratio, error / bound), max(worst, error)
+        old_terms.append(8 * EPS * old_sum_size(params, x))
+    assert worst_ratio <= 1.0
+    assert worst <= 1e-8
+    # the sample reaches the points where the m-coefficient form held W to no better than 1e-9
+    assert sum(term > 1e-9 for term in old_terms) >= 100
 
 
 def test_cf_closed_over_the_envelope(rng):
-    # cf_closed sums Q's own terms at the CF's point, of total size Sigma as in the Wigner test,
-    # and divides by 4, so it holds CF (8 eps Sigma / 4 + 4 eps)
-    worst, rounding_terms = 0.0, []
+    # CF = exp(-|G x|^2 / 4): the exponent's error E over 4 (the division is exact), and exp's rounding
+    worst_ratio, worst, old_terms = 0.0, 0.0, []
     for params, x in state_scale_points(rng):
         x = 2.0 * x  # CF(2x) = exp(-|z|^2), the CF's own scale
-        c = coefficients(params)
-        q1, p1, q2, p2 = x
-        sigma = c.m1 * (q1 * q1 + p2 * p2) + c.m2 * (p1 * p1 + q2 * q2) + 2.0 * c.m3 * abs(q1 * q2 - p1 * p2)
+        bound = math.expm1(exponent_error_bound(_gaussian_form(params), x) / 4.0) + LIBM_ULPS * EPS
         with mpmath.workdps(50):
             exact = mpmath.exp(-exponent_50_digits(params.lam, params.gamma, x) / 4)
-            error = abs(cf_closed(params, PhasePoint(*x)) - exact)
-            worst = max(worst, float(error / (exact * (2 * EPS * sigma + 4 * EPS))))
-        rounding_terms.append(2 * EPS * sigma)
-    assert worst <= 1.0
-    assert sum(term > 1e-9 for term in rounding_terms) >= 100
+            error = float(abs(cf_closed(params, PhasePoint(*x)) - exact) / exact)
+        worst_ratio, worst = max(worst_ratio, error / bound), max(worst, error)
+        old_terms.append(2 * EPS * old_sum_size(params, x))
+    assert worst_ratio <= 1.0
+    assert worst <= 1e-8
+    assert sum(term > 1e-9 for term in old_terms) >= 100
 
 
 QUADRATURE_POINTS = OUTER_QUADRATURE + GAMMA_ZERO_QUADRATURE + COARSE_QUADRATURE
@@ -201,7 +205,7 @@ def test_quadrature_still_rejects_a_non_decaying_integrand(monkeypatch):
     from asymsqueeze import teleport
 
     monkeypatch.setattr(teleport, "cf_input", lambda state, eta: np.exp(np.abs(eta) ** 2))
-    monkeypatch.setattr(teleport, "heisenberg_transform", lambda params: np.zeros((4, 4)))
+    monkeypatch.setattr("asymsqueeze.state.heisenberg_transform", lambda params: np.zeros((4, 4)))
     with pytest.raises(QuadratureDomainError):
         fidelity_quadrature(Coherent(0j), SqueezeParams(0.5, 0.0))
 

@@ -44,6 +44,19 @@ class TestCovarianceValidation:
         with pytest.raises(InvalidCovarianceError):
             CovarianceMatrix(bad)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.diag([math.inf, 0.5, 0.5, 0.5]),
+            np.array([[0.5, math.inf, 0.0, 0.0], [math.inf, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5]]),
+            np.full((4, 4), math.nan),
+        ],
+        ids=["inf-diagonal", "inf-symmetric-pair", "all-nan"],
+    )
+    def test_rejects_non_finite(self, entries):
+        with pytest.raises(InvalidCovarianceError, match="non-finite"):
+            CovarianceMatrix(entries)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(InvalidCovarianceError, match="expected 4x4"):
             CovarianceMatrix(np.eye(3))

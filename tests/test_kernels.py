@@ -1,12 +1,24 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
-from _oracles import coefficients_50_digits
-from asymsqueeze import Coherent, SqueezedVacuum, SqueezeParams, cf_input, coefficients, fidelity_quadrature
+from _oracles import EPS, LIBM_ULPS, U, coefficients_50_digits, exponent_error_bound
+from asymsqueeze import (
+    BellSetting,
+    Coherent,
+    SqueezedVacuum,
+    SqueezeParams,
+    bell_from_wigner,
+    cf_input,
+    coefficients,
+    fidelity_quadrature,
+)
 from asymsqueeze import _kernels
+from asymsqueeze.bell import _chsh_points
+from asymsqueeze.state import _gaussian_form
 
-EPS = np.finfo(float).eps
 INPUTS = {"coherent": Coherent(0.7 - 1.2j), "squeezed": SqueezedVacuum(-1.5)}
 
 
@@ -45,6 +57,24 @@ def test_bell_values_matches_mpmath(rng):
     assert worst <= 1e-13
 
 
+# The displaced points that bell_from_wigner forms: each entry is sqrt(2) Re or Im of
+# sqrt(J) e^{i phi}, a libm cos or sin and four roundings (sqrt J, sqrt 2 and two products).
+POINT_ERROR = LIBM_ULPS * EPS + 4 * U
+
+
+def chsh_from_wigner_bound(params, setting):
+    """A bound on the error of ``bell_from_wigner``: each term pi^2 W = exp(-|G x|^2) is off by
+    exp(E) - 1 relative from its exponent's error E at the rounded point, by exp's rounding, and
+    by 12U for pi, its square, the division and the product by pi^2 and the three additions."""
+    g, bound = _gaussian_form(params), 0.0
+    for point, _ in _chsh_points(setting):
+        x = np.array([point.q1, point.p1, point.q2, point.p2])
+        v = g @ x
+        error = math.expm1(exponent_error_bound(g, x, POINT_ERROR)) + LIBM_ULPS * EPS + 12 * U
+        bound += math.exp(-(v @ v)) * error
+    return bound
+
+
 def test_bell_values_over_the_envelope(rng):
     # Outside the paper region t3's exponent -2J(a + b) + 4J cos(theta + phi) m3 cancels
     # terms of size 2J(m1 + m2), most of all near theta = -phi, so the kernel holds 1e-13
@@ -55,19 +85,29 @@ def test_bell_values_over_the_envelope(rng):
         gamma = rng.uniform(-5.0, 5.0) * (1.0 if k % 2 else 10.0 ** -rng.uniform(0.0, 4.0))
         theta = rng.uniform(0.0, 2 * np.pi) if k % 3 == 0 else -phi + rng.uniform(-1.0, 1.0) * 10.0 ** -rng.uniform(0.0, 6.0)
         points.append((lam, gamma, j, theta, phi))
-    worst, rounding_terms = 0.0, []
+    worst, worst_wigner, worst_wigner_ratio, rounding_terms = 0.0, 0.0, 0.0, []
     for lam, gamma, j, theta, phi in points:
-        c = coefficients(SqueezeParams(lam, gamma))
+        params = SqueezeParams(lam, gamma)
+        c = coefficients(params)
         value = _kernels.bell_values(c.m1, c.m2, c.m3, j, theta, phi)
         a = c.m1 * np.cos(phi) ** 2 + c.m2 * np.sin(phi) ** 2
         b = c.m1 * np.sin(theta) ** 2 + c.m2 * np.cos(theta) ** 2
         t3 = np.exp(-2.0 * j * (a + b) + 4.0 * j * np.cos(theta + phi) * c.m3)
         rounding_terms.append(8 * EPS * j * (c.m1 + c.m2 + 2 * abs(c.m3)) * t3)
-        error = float(abs(mpmath.mpf(float(value)) - _bell_mp(lam, gamma, j, theta, phi)))
+        exact = _bell_mp(lam, gamma, j, theta, phi)
+        error = float(abs(mpmath.mpf(float(value)) - exact))
         worst = max(worst, error / (1e-13 + rounding_terms[-1]))
+        setting = BellSetting(j, theta, phi)
+        wigner_error = float(abs(mpmath.mpf(bell_from_wigner(params, setting).value) - exact))
+        worst_wigner = max(worst_wigner, wigner_error)
+        worst_wigner_ratio = max(worst_wigner_ratio, wigner_error / chsh_from_wigner_bound(params, setting))
     assert worst <= 1.0
     # the sample reaches the points where the plain 1e-13 does not hold
     assert sum(term > 1e-12 for term in rounding_terms) >= 10
+    # bell_from_wigner sums exp(-|G x|^2), which cancels only G x's products, of size
+    # e^{2 lam + |gamma|} |x|, to |G x|: it holds its bound, and 1e-13 flat, at the same points
+    assert worst_wigner_ratio <= 1.0
+    assert worst_wigner <= 1e-13
 
 
 def reference_teleport_integrand(xs, ys, m_mat, chi_in):
