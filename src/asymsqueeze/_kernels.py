@@ -1,9 +1,9 @@
 """Hot numeric kernels, vectorised with numpy.
 
 Kernels:
+  * ``gaussian_forms``    -- G x for G = S^T Omega; ``gaussian_exponent`` |G x|^2
   * ``bell_values``       -- CHSH combination of displaced-parity correlations
-                             from the Wigner coefficients m1, m2, m3,
-                             broadcast over the settings
+                             from those forms, broadcast over the settings
   * ``fock_series_table`` -- amplitude table of the squeezed vacuum, row by row
                              from its two ladder relations
   * ``teleport_integrand`` -- fidelity integrand |chi_in|^2 * chi_E(-eta*, -eta)
@@ -18,21 +18,33 @@ Kernels:
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# CHSH combination of four displaced-parity expectations.
-# Exponents follow from the closed-form Wigner function of the state at the
-# four displacement settings (0,0), (alpha,0), (0,beta), (alpha,beta) with
-# alpha = sqrt(J) e^{i phi}, beta = sqrt(J) e^{i theta}:
-#   a = m1 cos^2(phi) + m2 sin^2(phi),   b = m1 sin^2(theta) + m2 cos^2(theta)
-#   B = 1 + e^{-2Ja} + e^{-2Jb} - e^{-2J(a + b) + 4J cos(theta + phi) m3}
+# G = S^T Omega (S = ``state.heisenberg_transform``) as four linear forms of
+# x = (q1, p1, q2, p2), from ch = cosh lam, she = e^gamma sinh lam and
+# shi = e^{-gamma} sinh lam: pi^2 W(x) = exp(-|G x|^2), CF(x) = exp(-|G x|^2/4).
+# Each form's two products, of size e^{2 lam + |gamma|} |x|, cancel only to
+# |G x|.  Only + - * appear, so floats, arrays and symbols all run here.
+# The CHSH combination of four displaced-parity expectations pi^2 W at the
+# settings (0,0), (alpha,0), (0,beta), (alpha,beta), alpha = sqrt(J) e^{i phi}
+# and beta = sqrt(J) e^{i theta}, takes their points as sqrt(2J) times 0, u, v
+# and u + v with u = (cos phi, sin phi, 0, 0) and v = (0, 0, cos theta, sin theta):
+#   B = 1 + e^{-2J |G u|^2} + e^{-2J |G v|^2} - e^{-2J |G (u + v)|^2}
 # ---------------------------------------------------------------------------
 
 
-def bell_values(m1, m2, m3, j, theta, phi):
-    a = m1 * np.cos(phi) ** 2 + m2 * np.sin(phi) ** 2
-    b = m1 * np.sin(theta) ** 2 + m2 * np.cos(theta) ** 2
-    t1 = np.exp(-2.0 * j * a)
-    t2 = np.exp(-2.0 * j * b)
-    t3 = np.exp(-2.0 * j * (a + b) + 4.0 * j * np.cos(theta + phi) * m3)
+def gaussian_forms(ch, she, shi, q1, p1, q2, p2):
+    return ch * p1 + she * p2, shi * q2 - ch * q1, shi * p1 + ch * p2, she * q1 - ch * q2
+
+
+def gaussian_exponent(ch, she, shi, q1, p1, q2, p2):
+    r0, r1, r2, r3 = gaussian_forms(ch, she, shi, q1, p1, q2, p2)
+    return r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
+
+
+def bell_values(ch, she, shi, j, theta, phi):
+    cos_phi, sin_phi, cos_theta, sin_theta = np.cos(phi), np.sin(phi), np.cos(theta), np.sin(theta)
+    t1 = np.exp(-2.0 * j * gaussian_exponent(ch, she, shi, cos_phi, sin_phi, 0.0, 0.0))
+    t2 = np.exp(-2.0 * j * gaussian_exponent(ch, she, shi, 0.0, 0.0, cos_theta, sin_theta))
+    t3 = np.exp(-2.0 * j * gaussian_exponent(ch, she, shi, cos_phi, sin_phi, cos_theta, sin_theta))
     return 1.0 + t1 + t2 - t3
 
 

@@ -8,8 +8,8 @@ quantum state exceeds 2 sqrt(2).
 Two evaluation routes are kept deliberately separate: ``bell_function``
 evaluates the four-exponential closed form, ``bell_from_wigner`` assembles it
 from the closed-form Wigner function; their algebra is proven the same symbolically.
-The first holds 50 digits to 1e-13 + 8 eps J (m1 + m2 + 2|m3|) times its fourth term;
-the second, four exp(-|G x|^2) (``state.wigner_closed``), holds 1e-13 across the box.
+Both take each term as exp(-|G x|^2) from ``_kernels.gaussian_forms``, the first with
+sqrt(2J) outside the forms, and both hold 50 digits to 1e-13 across the box.
 The four-Wigner assembly has one home, ``_chsh_from_wigner``, which takes any
 Wigner function; ``verify`` evaluates the Fock oracle's at ``_chsh_points``
 in one batch and feeds it those values.  ``maximize_bell``
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from ._kernels import bell_values
 from .errors import ValidationError
 from .gaussian import PhasePoint
-from .state import SqueezeParams, coefficients, wigner_closed
+from .state import SqueezeParams, coefficients, squeezer_entries, wigner_closed
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -72,9 +72,8 @@ class BellValue:
 
 
 def bell_function(params: SqueezeParams, setting: BellSetting) -> BellValue:
-    """Closed-form CHSH combination (the four-exponential expression)."""
-    c = coefficients(params)
-    return BellValue(bell_values(c.m1, c.m2, c.m3, setting.j, setting.theta, setting.phi))
+    """Closed-form CHSH combination (the four-exponential expression) from S's entries."""
+    return BellValue(bell_values(*squeezer_entries(params), setting.j, setting.theta, setting.phi))
 
 
 def bell_from_wigner(params: SqueezeParams, setting: BellSetting) -> BellValue:

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 negativity : log-negativity surface over (lambda, gamma), from state.log_negativity_values
-bell       : CHSH value over any subset of lambda, gamma, J, theta, phi, from bell.bell_values
+bell       : CHSH value over any subset of lambda, gamma, J, theta, phi, from bell.bell_values on state.squeezer_grid
 fidelity   : teleportation fidelity (or its difference) over (lambda, gamma), from teleport.fidelity_values
 verify     : closed-form-versus-Fock-oracle suite, verify.run at verify.PLANS's pairs and verify.check_points
 
@@ -41,7 +41,7 @@ import numpy as np
 from . import __version__
 from .bell import bell_values
 from .errors import CutoffTooSmallError, ValidationError, VerificationError
-from .state import GAMMA_MAX, LAMBDA_MAX, coefficients_grid, log_negativity_values
+from .state import GAMMA_MAX, LAMBDA_MAX, coefficients_grid, log_negativity_values, squeezer_grid
 from .teleport import fidelity_values
 from .verify import PLANS, TOLERANCES, breached, check_points, run
 
@@ -298,10 +298,10 @@ def _tables(shortest):
     return (digits + 48).astype(np.uint8).view(np.uint32).ravel(), zeros, table, (table != const["\0"]).sum(axis=1)
 
 
-def _pair_sweep(args):
-    """The lambda and gamma axes, and the coefficients over their grid, lambda along the first axis."""
+def _pair_sweep(args, grid=coefficients_grid):
+    """The lambda and gamma axes, and ``grid`` (by default the coefficients) over them, lambda first."""
     axes = {"lambda": _parse_axis("lambda", args.lam), "gamma": _parse_axis("gamma", args.gamma)}
-    return axes, coefficients_grid(axes["lambda"], axes["gamma"])
+    return axes, grid(axes["lambda"], axes["gamma"])
 
 
 def _cmd_negativity(args):
@@ -312,11 +312,11 @@ def _cmd_negativity(args):
 
 
 def _cmd_bell(args):
-    axes, coeffs = _pair_sweep(args)
+    axes, entries = _pair_sweep(args, squeezer_grid)
     axes.update((name, _parse_axis(name, getattr(args, name))) for name in ("j", "theta", "phi"))
-    m1, m2, m3 = (m[:, :, None, None, None] for m in (coeffs.m1, coeffs.m2, coeffs.m3))
+    ch, she, shi = (s[:, :, None, None, None] for s in entries)
     j, theta, phi = np.meshgrid(axes["j"], axes["theta"], axes["phi"], indexing="ij", sparse=True)
-    vals = bell_values(m1, m2, m3, j, theta, phi)
+    vals = bell_values(ch, she, shi, j, theta, phi)
     if args.clip_at_2:
         vals = np.where(vals > 2.0, vals, np.nan)
     _write_output(args.output, args.format, "bell", "displaced-parity-closed-form", axes, vals)

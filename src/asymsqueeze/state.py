@@ -9,8 +9,9 @@ gamma = 0).  For gamma != 0 the generator mixes single-mode squeezing of each
 mode into the two-mode squeezing, which is what makes the entanglement,
 nonlocality and teleportation behaviour richer than the symmetric case.
 
-W, the CF and ``teleport``'s channel CF take G = S^T Omega (S = ``heisenberg_transform``),
-pi^2 W(x) = exp(-|G x|^2); the other closed forms take the three coefficients
+W, the CF, ``teleport``'s channel CF and the CHSH kernel take G = S^T Omega as
+``_kernels.gaussian_forms`` of S's entries (``squeezer_entries``), pi^2 W(x) = exp(-|G x|^2);
+sigma, E_N, f, the Fock series and ``maximize_bell``'s setting take the coefficients
 
     m1 = cosh^2(lam) + e^{2 gamma}  sinh^2(lam)
     m2 = cosh^2(lam) + e^{-2 gamma} sinh^2(lam)
@@ -31,7 +32,7 @@ import numpy as np
 from . import _kernels
 from .errors import CutoffTooSmallError, ValidationError
 from .fock import _DEFICIT_LIMIT, FockState2
-from .gaussian import SYMPLECTIC_FORM, CovarianceMatrix
+from .gaussian import CovarianceMatrix
 
 if TYPE_CHECKING:
     from .gaussian import PhasePoint
@@ -78,7 +79,7 @@ class SqueezeParams:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """The four scalars of sigma, E_N, the fidelities, the Fock series and the CHSH closed form.
+    """The four scalars of sigma, E_N, the fidelities, the Fock series and the CHSH maximum's setting.
 
     m1, m2, m3 are twice sigma's entries; f the teleportation
     scalar (always negative, so fidelities stay inside (0, 1]).  From
@@ -91,26 +92,15 @@ class Coefficients:
 
 
 def _lambda_terms(lam):
-    """Every function of lam alone that the coefficients use."""
-    sh = math.sinh(lam)
-    return (
-        sh,
-        math.cosh(lam) ** 2,
-        sh ** 2,
-        math.sinh(2.0 * lam),
-        math.exp(-2.0 * lam),
-        math.exp(-lam),
-    )
+    """Every function of lam alone that the coefficients and S use."""
+    sh, ch = math.sinh(lam), math.cosh(lam)
+    return sh, ch, ch ** 2, sh ** 2, math.sinh(2.0 * lam), math.exp(-2.0 * lam), math.exp(-lam)
 
 
 def _gamma_terms(gamma):
-    """Every function of gamma alone that the coefficients use."""
-    return (
-        math.exp(2.0 * gamma),
-        math.exp(-2.0 * gamma),
-        math.cosh(gamma),
-        4.0 * math.sinh(0.5 * gamma) ** 2,
-    )
+    """Every function of gamma alone that the coefficients and S use."""
+    return (math.exp(gamma), math.exp(2.0 * gamma), math.exp(-2.0 * gamma), math.cosh(gamma),
+            4.0 * math.sinh(0.5 * gamma) ** 2)
 
 
 def _combine(lam_terms, gamma_terms) -> Coefficients:
@@ -119,8 +109,8 @@ def _combine(lam_terms, gamma_terms) -> Coefficients:
     Only + - * / appear here, each correctly rounded, so broadcast arrays of
     terms give bit for bit the coefficients that floats give.
     """
-    sh, c2, s2, sinh2l, e2l, el = lam_terms
-    e2g, em2g, chg, shhalf4 = gamma_terms
+    sh, _, c2, s2, sinh2l, e2l, el = lam_terms
+    _, e2g, em2g, chg, shhalf4 = gamma_terms
     m1 = c2 + e2g * s2
     m2 = c2 + em2g * s2
     m3 = chg * sinh2l
@@ -129,22 +119,39 @@ def _combine(lam_terms, gamma_terms) -> Coefficients:
     return Coefficients(m1=m1, m2=m2, m3=m3, f=f)
 
 
+def _squeezer(lam_terms, gamma_terms):
+    """S's three entries cosh lam, e^gamma sinh lam and e^-gamma sinh lam from the terms of each variable."""
+    (sh, ch), eg = lam_terms[:2], gamma_terms[0]
+    return ch, sh * eg, sh / eg
+
+
+def _per_axis(lams, gammas, combine):
+    """``combine`` over the grid lams x gammas, lams first: the hyperbolic functions are taken once per
+    axis value (validated as ``SqueezeParams`` validates it) and only ``combine``'s + - * / runs per grid
+    point, so every entry equals the scalar route's at its (lam, gamma) bit for bit."""
+    lam_terms = [_lambda_terms(SqueezeParams(lam).lam) for lam in np.asarray(lams, dtype=float).tolist()]
+    gamma_terms = [_gamma_terms(SqueezeParams(0.0, g).gamma) for g in np.asarray(gammas, dtype=float).tolist()]
+    return combine(np.array(lam_terms).T[:, :, None], np.array(gamma_terms).T[:, None, :])
+
+
 def coefficients(params: SqueezeParams) -> Coefficients:
     """m1, m2, m3 and f from hyperbolic functions of (lam, gamma)."""
     return _combine(_lambda_terms(params.lam), _gamma_terms(params.gamma))
 
 
 def coefficients_grid(lams, gammas) -> Coefficients:
-    """``coefficients`` over the grid lams x gammas, each field a (lams, gammas) array.
+    """``coefficients`` over the grid lams x gammas, each field a (lams, gammas) array (``_per_axis``)."""
+    return _per_axis(lams, gammas, _combine)
 
-    The hyperbolic functions are taken once per axis value and only the
-    arithmetic runs per grid point; every entry equals the scalar
-    ``coefficients`` at its (lam, gamma) bit for bit.  Each axis value is
-    validated as ``SqueezeParams`` validates it.
-    """
-    lam_terms = [_lambda_terms(SqueezeParams(lam).lam) for lam in np.asarray(lams, dtype=float).tolist()]
-    gamma_terms = [_gamma_terms(SqueezeParams(0.0, g).gamma) for g in np.asarray(gammas, dtype=float).tolist()]
-    return _combine(np.array(lam_terms).T[:, :, None], np.array(gamma_terms).T[:, None, :])
+
+def squeezer_entries(params: SqueezeParams) -> tuple:
+    """S's entries (cosh lam, e^gamma sinh lam, e^-gamma sinh lam), as ``_kernels.gaussian_forms`` takes them."""
+    return _squeezer(_lambda_terms(params.lam), _gamma_terms(params.gamma))
+
+
+def squeezer_grid(lams, gammas) -> tuple:
+    """``squeezer_entries`` over the grid lams x gammas (``_per_axis``), cosh lam as a (lams, 1) column."""
+    return _per_axis(lams, gammas, _squeezer)
 
 
 def covariance(params: SqueezeParams) -> CovarianceMatrix:
@@ -165,15 +172,9 @@ def covariance(params: SqueezeParams) -> CovarianceMatrix:
     return CovarianceMatrix(sig)
 
 
-def _gaussian_form(params):
-    """G = S^T Omega (S = ``heisenberg_transform``): pi^2 W(x) = exp(-|G x|^2), CF(x) = exp(-|G x|^2 / 4)."""
-    return heisenberg_transform(params).T @ SYMPLECTIC_FORM
-
-
 def _wigner_exponent(params, point):
-    """-|G x|^2 at x = (q1, p1, q2, p2), the exponent of pi^2 W."""
-    v = _gaussian_form(params) @ np.array([point.q1, point.p1, point.q2, point.p2])
-    return -(v @ v)
+    """-|G x|^2 at x = (q1, p1, q2, p2), the exponent of pi^2 W (``_kernels.gaussian_exponent``)."""
+    return -_kernels.gaussian_exponent(*squeezer_entries(params), point.q1, point.p1, point.q2, point.p2)
 
 
 def wigner_closed(params: SqueezeParams, point: PhasePoint) -> float:
@@ -243,20 +244,12 @@ def heisenberg_transform(params: SqueezeParams) -> np.ndarray:
     P2 -> P2 cosh(lam) - P1 e^{-gamma} sinh(lam)
     Both blocks have unit determinant and the p block is the transpose-inverse
     of the q block, so S Omega S^T = Omega; the transformed vacuum S S^T / 2
-    reproduces ``covariance``.  W, the CF and the channel CF take S as G = S^T Omega
-    (``_gaussian_form``); the tests take S as the Heisenberg-picture reference.
+    reproduces ``covariance``.  W, the CF, the channel CF and the CHSH kernel take S's
+    entries (``squeezer_entries``) as G = S^T Omega (``_kernels.gaussian_forms``); the tests
+    take S as the Heisenberg-picture reference.
     """
-    ch = math.cosh(params.lam)
-    sh = math.sinh(params.lam)
-    eg = math.exp(params.gamma)
-    return np.array(
-        [
-            [ch, 0.0, sh / eg, 0.0],
-            [0.0, ch, 0.0, -sh * eg],
-            [sh * eg, 0.0, ch, 0.0],
-            [0.0, -sh / eg, 0.0, ch],
-        ]
-    )
+    ch, she, shi = squeezer_entries(params)
+    return np.array([[ch, 0.0, shi, 0.0], [0.0, ch, 0.0, -she], [she, 0.0, ch, 0.0], [0.0, -shi, 0.0, ch]])
 
 
 def fock_amplitudes(params: SqueezeParams, cutoff: int) -> FockState2:

@@ -4,11 +4,14 @@ These deliberately avoid the library code paths they check: symplectic
 spectra by a generic eigensolver, matrix exponentials by scaled Taylor series,
 the CHSH maximum from its closed form in 50-digit arithmetic.  The one
 bound here, ``exponent_error_bound``, is a rounding-error bound that the float
-Gaussian form is held to, not a reference value.
+Gaussian form is held to, not a reference value; it reads G as the 4x4 matrix
+``gaussian_form_matrix`` builds from S.
 """
 
 import mpmath
 import numpy as np
+
+from asymsqueeze import SYMPLECTIC_FORM, heisenberg_transform
 
 OMEGA = np.array(
     [
@@ -30,9 +33,15 @@ LIBM_ULPS = 2
 G_ENTRY = 2 * LIBM_ULPS * EPS + U
 
 
+def gaussian_form_matrix(params):
+    """G = S^T Omega as a 4x4 matrix, S = ``heisenberg_transform``: its entries are S's, moved and
+    negated, so it is the matrix of ``_kernels.gaussian_forms`` at S's float entries."""
+    return heisenberg_transform(params).T @ SYMPLECTIC_FORM
+
+
 def exponent_error_bound(g, x, x_error=0.0):
     """A running error bound (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    ch. 3), to first order in U, on the float |G x|^2 from the computed G (``state._gaussian_form``)
+    ch. 3), to first order in U, on the float |G x|^2 from the float G (``gaussian_form_matrix``)
     and the float point x, each of whose entries is off by at most x_error relative from the
     point meant (0 when x is the point meant).
 

@@ -36,6 +36,7 @@ from asymsqueeze import (
     wigner_closed,
 )
 from asymsqueeze import _kernels
+from asymsqueeze.state import squeezer_entries
 from asymsqueeze.verify import PLANS, TOLERANCES, run
 
 
@@ -167,8 +168,7 @@ def test_criterion_05_bell_physics():
     js = np.linspace(0.02, 2.0, 25)
     angles = np.linspace(0.0, 2 * math.pi, 33)
     jj, tt, pp = np.meshgrid(js, angles, angles, indexing="ij")
-    product = coefficients(SqueezeParams(0.0, 0.0))
-    vals = _kernels.bell_values(product.m1, product.m2, product.m3, jj, tt, pp)
+    vals = _kernels.bell_values(*squeezer_entries(SqueezeParams(0.0, 0.0)), jj, tt, pp)
     product_max = float(np.max(np.abs(vals)))
     # (b) the known violation
     violation = bell_function(

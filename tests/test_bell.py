@@ -14,13 +14,13 @@ from asymsqueeze import (
     bell_from_wigner,
     bell_function,
     build_state_exponential,
-    coefficients,
     maximize_bell,
     wigner_closed,
     wigner_numeric,
 )
 from asymsqueeze._kernels import bell_values
 from asymsqueeze.cli import main
+from asymsqueeze.state import squeezer_entries
 
 EPS = np.finfo(float).eps
 
@@ -173,24 +173,19 @@ class TestAlgebraicIdentity:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_exchange_symmetry_over_the_envelope(self, rng):
-        # (theta, phi) -> (phi + pi/2, theta - pi/2) swaps the kernel's exponents a and b and keeps
-        # theta + phi (test_certificate), so its two values differ by rounding alone: at most twice its
-        # bound 1e-13 + 8 eps J (m1 + m2 + 2|m3|) |t3|.  J is uniform on [0, 10] for half the draws and
+        # (theta, phi) -> (phi + pi/2, theta - pi/2) swaps the kernel's single-displacement terms and
+        # keeps its joint term (test_certificate), so its two values differ by rounding alone: at most
+        # twice the kernel's 1e-13 (test_kernels).  J is uniform on [0, 10] for half the draws and
         # log-uniform on [1e-4, 10] for the rest; a third of the draws put theta near -phi.
         n, near = 3000, slice(0, 1000)
         lam, gamma = rng.uniform(0.0, 5.0, n), rng.uniform(-5.0, 5.0, n)
         j = np.where(np.arange(n) % 2, rng.uniform(0.0, 10.0, n), 10.0 ** rng.uniform(-4.0, 1.0, n))
         theta, phi = rng.uniform(-2 * math.pi, 2 * math.pi, (2, n))
         theta[near] = -phi[near] + rng.uniform(-1.0, 1.0, 1000) * 10.0 ** -rng.uniform(0.0, 6.0, 1000)
-        c = [coefficients(SqueezeParams(*pair)) for pair in zip(lam.tolist(), gamma.tolist())]
-        m1, m2, m3 = (np.array([getattr(x, name) for x in c]) for name in ("m1", "m2", "m3"))
-        value = bell_values(m1, m2, m3, j, theta, phi)
-        swapped = bell_values(m1, m2, m3, j, phi + math.pi / 2, theta - math.pi / 2)
-        a = m1 * np.cos(phi) ** 2 + m2 * np.sin(phi) ** 2
-        b = m1 * np.sin(theta) ** 2 + m2 * np.cos(theta) ** 2
-        t3 = np.exp(-2.0 * j * (a + b) + 4.0 * j * np.cos(theta + phi) * m3)
-        bound = 1e-13 + 8 * EPS * j * (m1 + m2 + 2 * np.abs(m3)) * t3
-        assert np.all(np.abs(value - swapped) <= 2 * bound)
+        entries = np.array([squeezer_entries(SqueezeParams(*pair)) for pair in zip(lam.tolist(), gamma.tolist())]).T
+        value = bell_values(*entries, j, theta, phi)
+        swapped = bell_values(*entries, j, phi + math.pi / 2, theta - math.pi / 2)
+        assert np.all(np.abs(value - swapped) <= 2e-13)
         assert np.sum(value != swapped) >= 100  # the two routes round differently, and the sample sees it
 
     @pytest.mark.parametrize(
@@ -247,11 +242,10 @@ class TestMaximize:
     def test_no_grid_setting_beats_the_maximum(self, lam, gamma):
         # ln J in [-20, 1] covers the optimal J, which falls like e^{-2 lam} to 1e-5 at lam = 5
         p = SqueezeParams(lam, gamma)
-        c = coefficients(p)
         _, best = maximize_bell(p)
         js = np.exp(np.linspace(-20.0, 1.0, 85))[:, None, None]
         angles = np.linspace(0.0, 2 * math.pi, 90, endpoint=False)
-        grid = bell_values(c.m1, c.m2, c.m3, js, angles[None, :, None], angles[None, None, :])
+        grid = bell_values(*squeezer_entries(p), js, angles[None, :, None], angles[None, None, :])
         assert grid.max() <= best.value + 1e-12
         assert best.value == pytest.approx(float(chsh_maximum_50_digits(lam, gamma)), rel=0.0, abs=4 * EPS)
 

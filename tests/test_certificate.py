@@ -7,11 +7,13 @@ holds exactly for every lam and gamma, not only inside the envelope.
 
 The link to the float code: m1, m2, m3 and f are ``_oracles.coefficient_formulas``,
 the expressions that the envelope tests evaluate at 50 digits and hold the float
-code to; ``state._combine`` is called on symbols itself, and so is
-``state._wigner_exponent``, with the symbolic S in place of
-``heisenberg_transform``'s; and S and sigma are written as
-``heisenberg_transform`` and ``covariance`` write them, which
-``test_float_code_writes_the_proven_matrices`` checks bit for bit.
+code to; ``state._combine`` and ``state._squeezer`` are called on symbols
+themselves, and so are ``_kernels.gaussian_forms``, ``state._wigner_exponent``
+and ``_kernels.bell_values``, on the symbolic entries of S; and S and sigma are
+written as ``heisenberg_transform`` and ``covariance`` write them, which
+``test_float_code_writes_the_proven_matrices`` checks bit for bit.  So W, the CF,
+the channel CF and the CHSH terms, which all read ``gaussian_forms``, inherit
+the proof that it is S^T Omega x.
 """
 
 import dataclasses
@@ -38,6 +40,7 @@ from asymsqueeze import (
     state,
 )
 from asymsqueeze.bell import _chsh_points
+from asymsqueeze.state import squeezer_entries
 from asymsqueeze.teleport import _ETA_TO_PHASE
 
 U, V = sp.symbols("u v", positive=True)  # e^lam, e^gamma
@@ -68,8 +71,21 @@ def sigma_entries(m1, m2, m3):
     return [[m2 / 2, 0, m3 / 2, 0], [0, m1 / 2, 0, -m3 / 2], [m3 / 2, 0, m1 / 2, 0], [0, -m3 / 2, 0, m2 / 2]]
 
 
+def lambda_terms():
+    """``state._lambda_terms`` on the symbol u = e^lam, in its order."""
+    ch, sh = sp.cosh(LAM), sp.sinh(LAM)
+    return [rational(t) for t in (sh, ch, ch ** 2, sh ** 2, sp.sinh(2 * LAM), sp.exp(-2 * LAM), sp.exp(-LAM))]
+
+
+def gamma_terms(v):
+    """``state._gamma_terms`` on the symbol v = e^gamma, or at v = 1 (gamma = 0), in its order."""
+    gamma = sp.log(v)
+    return [rational(t) for t in (v, v ** 2, v ** -2, sp.cosh(gamma), 4 * sp.sinh(gamma / 2) ** 2)]
+
+
 M1, M2, M3, F = (rational(c) for c in coefficient_formulas(sp, LAM, GAMMA))
 CH, SH = rational(sp.cosh(LAM)), rational(sp.sinh(LAM))
+ENTRIES = state._squeezer(lambda_terms(), gamma_terms(V))  # cosh lam, e^gamma sinh lam, e^-gamma sinh lam
 OMEGA = sp.Matrix(SYMPLECTIC_FORM.astype(int))
 S = sp.Matrix(s_entries(CH, SH, V))
 SIGMA = sp.Matrix(sigma_entries(M1, M2, M3))
@@ -85,8 +101,8 @@ def test_package_does_not_import_sympy(child_env):
 
 @pytest.fixture
 def exponent(monkeypatch):
-    """``state._wigner_exponent`` at a symbolic PhasePoint, on the symbolic S."""
-    monkeypatch.setattr(state, "heisenberg_transform", lambda params: np.array(s_entries(CH, SH, V), dtype=object))
+    """``state._wigner_exponent`` at a symbolic PhasePoint, on the symbolic entries of S."""
+    monkeypatch.setattr(state, "squeezer_entries", lambda params: ENTRIES)
     return lambda *x: state._wigner_exponent(None, PhasePoint(*x))
 
 
@@ -97,6 +113,17 @@ def test_float_code_writes_the_proven_matrices(lam, gamma):
     transform = np.array(s_entries(math.cosh(lam), math.sinh(lam), math.exp(gamma)), dtype=float)
     assert np.array_equal(heisenberg_transform(p), transform)
     assert np.array_equal(covariance(p).entries, np.array(sigma_entries(c.m1, c.m2, c.m3), dtype=float))
+
+
+def test_squeezer_entries_are_those_of_s():
+    assert all(vanishes(a - b) for a, b in zip(ENTRIES, (S[0, 0], S[2, 0], S[0, 2])))
+
+
+def test_gaussian_forms_are_s_transpose_omega():
+    # the one home of G = S^T Omega: W, the CF, the channel CF and the CHSH kernel read these forms
+    forms = sp.Matrix(_kernels.gaussian_forms(*ENTRIES, *X))
+    assert all_vanish(forms - S.T * OMEGA * sp.Matrix(X))
+    assert vanishes(_kernels.gaussian_exponent(*ENTRIES, *X) - (forms.T * forms)[0])
 
 
 def test_transform_solves_the_generator_flow():
@@ -129,9 +156,7 @@ def test_inverse_is_four_times_the_cf_kernel():
 
 def test_combine_regroups_f():
     # _combine's terms in _lambda_terms' and _gamma_terms' order; its f is the regrouped form
-    lam_terms = [SH, CH ** 2, SH ** 2] + [rational(t) for t in (sp.sinh(2 * LAM), sp.exp(-2 * LAM), sp.exp(-LAM))]
-    gamma_terms = [rational(t) for t in (V ** 2, V ** -2, sp.cosh(GAMMA), 4 * sp.sinh(GAMMA / 2) ** 2)]
-    c = state._combine(lam_terms, gamma_terms)
+    c = state._combine(lambda_terms(), gamma_terms(V))
     assert all(vanishes(a - b) for a, b in zip((c.m1, c.m2, c.m3, c.f), (M1, M2, M3, F)))
 
 
@@ -200,15 +225,21 @@ def test_log_negativity_from_partial_transpose_invariants():
     assert sp.asinh(m3).rewrite(sp.log) == sp.log(m3 + root)
 
 
-def test_chsh_exponents_are_the_wigner_exponent(exponent):
-    # _kernels.bell_values' exponents -2Ja, -2Jb and -2J(a + b) + 4J cos(theta + phi) m3, with
-    # cos(theta + phi) = cos theta cos phi - sin theta sin phi, are Q at the last three _chsh_points
-    # (the one of sign -1 last), and Q = 0 at the first: B = pi^2 [W(0, 0) + W(alpha, 0) + ...]
+def test_chsh_exponents_are_the_wigner_exponent(exponent, monkeypatch):
+    # _kernels.bell_values, run on the symbols, takes its three terms -2J |G u|^2, -2J |G v|^2 and
+    # -2J |G (u + v)|^2 from gaussian_forms at u = (cos phi, sin phi, 0, 0), v = (0, 0, cos theta,
+    # sin theta) and u + v, and returns 1 + t1 + t2 - t3.  The exponents are Q at the last three
+    # _chsh_points (the one of sign -1 last), and Q = 0 at the first: B = pi^2 [W(0, 0) + W(alpha, 0) + ...]
     j = sp.Symbol("J", positive=True)
     cos_p, sin_p, cos_t, sin_t = sp.symbols("cos_phi sin_phi cos_theta sin_theta", real=True)
-    a = M1 * cos_p ** 2 + M2 * sin_p ** 2
-    b = M1 * sin_t ** 2 + M2 * cos_t ** 2
-    exponents = (0, -2 * j * a, -2 * j * b, -2 * j * (a + b) + 4 * j * (cos_t * cos_p - sin_t * sin_p) * M3)
+    theta, phi = sp.symbols("theta phi", real=True)
+    trig = {theta: (cos_t, sin_t), phi: (cos_p, sin_p)}
+    kernel_exponents, terms = [], sp.symbols("t1:4")
+    record = lambda e: kernel_exponents.append(e) or terms[len(kernel_exponents) - 1]
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "np", SimpleNamespace(cos=lambda a: trig[a][0], sin=lambda a: trig[a][1], exp=record))
+        assert vanishes(_kernels.bell_values(*ENTRIES, j, theta, phi) - (1 + terms[0] + terms[1] - terms[2]))
+    exponents = (0, *kernel_exponents)
     r = sp.sqrt(2 * j)  # q = sqrt2 Re alpha and p = sqrt2 Im alpha, with |alpha|^2 = J
     alpha, beta = (r * cos_p, r * sin_p), (r * cos_t, r * sin_t)
     points = [(0, 0, 0, 0), (*alpha, 0, 0), (0, 0, *beta), (*alpha, *beta)]
@@ -223,15 +254,16 @@ def test_chsh_exponents_are_the_wigner_exponent(exponent):
         coordinates = [float(sp.sympify(c).subs(at)) for c in expected]
         assert np.allclose(dataclasses.astuple(point), coordinates, rtol=0.0, atol=1e-15)
     closed = sum(sign * math.exp(float(sp.sympify(k).subs(at))) for (_, sign), k in zip(terms, exponents))
-    c = coefficients(SqueezeParams(lam, gamma))  # not the fixture's symbols
-    kernel = _kernels.bell_values(c.m1, c.m2, c.m3, setting.j, setting.theta, setting.phi)
+    params = SqueezeParams(lam, gamma)  # not the fixture's symbols
+    kernel = _kernels.bell_values(*squeezer_entries(params), setting.j, setting.theta, setting.phi)
     assert kernel == pytest.approx(closed, abs=1e-14)
 
 
 def test_chsh_exchange_symmetry(monkeypatch):
     # (theta, phi) -> (phi + pi/2, theta - pi/2) swaps the exponents a = m1 cos^2 phi + m2 sin^2 phi and
-    # b = m1 sin^2 theta + m2 cos^2 theta of _kernels.bell_values and keeps theta + phi, so it keeps B.
-    # Applied twice it is the identity; its fixed set is theta = phi + pi/2, the line maximize_bell takes.
+    # b = m1 sin^2 theta + m2 cos^2 theta of the single-displacement terms (-2Ja and -2Jb) and keeps
+    # theta + phi, so it keeps B.  Applied twice it is the identity; its fixed set is theta = phi + pi/2,
+    # the line maximize_bell takes.
     m1, m2, m3, j = sp.symbols("m1 m2 m3 J", positive=True)
     theta, phi = sp.symbols("theta phi", real=True)
 
@@ -248,9 +280,10 @@ def test_chsh_exchange_symmetry(monkeypatch):
     assert vanishes(a(phi2) - b(theta)) and vanishes(b(theta2) - a(phi)) and vanishes(theta2 + phi2 - theta - phi)
     assert swap(theta2, phi2) == (theta, phi)
     assert vanishes((theta2 - theta) + (phi2 - phi)) and sp.solve(theta2 - theta, theta) == [phi + sp.pi / 2]
-    # the kernel itself, run on the symbols with sympy's cos, sin and exp
+    # the kernel itself, run on any entries of S with sympy's cos, sin and exp
     monkeypatch.setattr(_kernels, "np", SimpleNamespace(cos=sp.cos, sin=sp.sin, exp=sp.exp))
-    assert vanishes(_kernels.bell_values(m1, m2, m3, j, theta, phi) - _kernels.bell_values(m1, m2, m3, j, theta2, phi2))
+    entries = sp.symbols("ch she shi", positive=True)
+    assert vanishes(_kernels.bell_values(*entries, j, theta, phi) - _kernels.bell_values(*entries, j, theta2, phi2))
 
 
 def test_channel_form_is_minus_f():
@@ -287,9 +320,7 @@ def test_closed_fidelities():
 
 def combined(v):
     """``state._combine`` on the terms of lam (u) and of gamma = ln v, v a symbol or 1 (gamma = 0)."""
-    lam_terms = [SH, CH ** 2, SH ** 2] + [rational(t) for t in (sp.sinh(2 * LAM), sp.exp(-2 * LAM), sp.exp(-LAM))]
-    gamma = sp.log(v)
-    return state._combine(lam_terms, [rational(t) for t in (v ** 2, v ** -2, sp.cosh(gamma), 4 * sp.sinh(gamma / 2) ** 2)])
+    return state._combine(lambda_terms(), gamma_terms(v))
 
 
 def test_entanglement_exceeds_symmetric_state():

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from _oracles import EPS, LIBM_ULPS, U, coefficients_50_digits, exponent_error_bound
+from _oracles import EPS, LIBM_ULPS, U, coefficients_50_digits, exponent_error_bound, gaussian_form_matrix
 from asymsqueeze import (
     Coherent,
     PhasePoint,
@@ -26,7 +26,6 @@ from asymsqueeze import (
     wigner_closed,
 )
 from asymsqueeze.cli import main
-from asymsqueeze.state import _gaussian_form
 
 LAMS = np.linspace(0.0, 5.0, 21)
 GAMMAS = np.linspace(-5.0, 5.0, 21)
@@ -154,7 +153,7 @@ def test_wigner_closed_over_the_envelope(rng):
     # the roundings of exp (LIBM_ULPS eps), pi, its square and the division (4U)
     worst_ratio, worst, old_terms = 0.0, 0.0, []
     for params, x in state_scale_points(rng):
-        bound = math.expm1(exponent_error_bound(_gaussian_form(params), x)) + LIBM_ULPS * EPS + 4 * U
+        bound = math.expm1(exponent_error_bound(gaussian_form_matrix(params), x)) + LIBM_ULPS * EPS + 4 * U
         with mpmath.workdps(50):
             exact = mpmath.exp(-exponent_50_digits(params.lam, params.gamma, x)) / mpmath.pi ** 2
             error = float(abs(wigner_closed(params, PhasePoint(*x)) - exact) / exact)
@@ -171,7 +170,7 @@ def test_cf_closed_over_the_envelope(rng):
     worst_ratio, worst, old_terms = 0.0, 0.0, []
     for params, x in state_scale_points(rng):
         x = 2.0 * x  # CF(2x) = exp(-|z|^2), the CF's own scale
-        bound = math.expm1(exponent_error_bound(_gaussian_form(params), x) / 4.0) + LIBM_ULPS * EPS
+        bound = math.expm1(exponent_error_bound(gaussian_form_matrix(params), x) / 4.0) + LIBM_ULPS * EPS
         with mpmath.workdps(50):
             exact = mpmath.exp(-exponent_50_digits(params.lam, params.gamma, x) / 4)
             error = float(abs(cf_closed(params, PhasePoint(*x)) - exact) / exact)
@@ -205,7 +204,7 @@ def test_quadrature_still_rejects_a_non_decaying_integrand(monkeypatch):
     from asymsqueeze import teleport
 
     monkeypatch.setattr(teleport, "cf_input", lambda state, eta: np.exp(np.abs(eta) ** 2))
-    monkeypatch.setattr("asymsqueeze.state.heisenberg_transform", lambda params: np.zeros((4, 4)))
+    monkeypatch.setattr(teleport, "squeezer_entries", lambda params: (0.0, 0.0, 0.0))
     with pytest.raises(QuadratureDomainError):
         fidelity_quadrature(Coherent(0j), SqueezeParams(0.5, 0.0))
 

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from _oracles import EPS, LIBM_ULPS, U, coefficients_50_digits, exponent_error_bound
+from _oracles import EPS, LIBM_ULPS, U, coefficients_50_digits, exponent_error_bound, gaussian_form_matrix
 from asymsqueeze import (
     BellSetting,
     Coherent,
@@ -17,15 +17,15 @@ from asymsqueeze import (
 )
 from asymsqueeze import _kernels
 from asymsqueeze.bell import _chsh_points
-from asymsqueeze.state import _gaussian_form
+from asymsqueeze.state import squeezer_entries
 
 INPUTS = {"coherent": Coherent(0.7 - 1.2j), "squeezed": SqueezedVacuum(-1.5)}
 
 
 def _bell_mp(lam, gamma, j, theta, phi):
     """CHSH combination at 50 digits from the 50-digit m1, m2, m3, so that it
-    shares no rounding with the kernel (``test_bell.TestAlgebraicIdentity``
-    checks the formula itself against the Wigner combination)."""
+    shares neither rounding nor form with the kernel, which reads S's entries
+    (``test_certificate`` proves the two forms the same)."""
     with mpmath.workdps(50):
         m1, m2, m3 = coefficients_50_digits(lam, gamma)[:3]
         j, theta, phi = (mpmath.mpf(float(v)) for v in (j, theta, phi))
@@ -36,12 +36,13 @@ def _bell_mp(lam, gamma, j, theta, phi):
 
 
 def test_bell_values_broadcasting():
-    c = coefficients(SqueezeParams(0.5, 1.0))
-    assert _kernels.bell_values(c.m1, c.m2, c.m3, np.array([0.01, 0.02]), np.pi, 0.0).shape == (2,)
-    m = np.array([[c.m1, c.m2, c.m3], [1.0, 1.0, 0.0], [c.m2, c.m1, c.m3]])
-    grid = _kernels.bell_values(m[:, 0, None], m[:, 1, None], m[:, 2, None], np.linspace(0.0, 0.1, 4), np.pi, 0.0)
+    ch, she, shi = squeezer_entries(SqueezeParams(0.5, 1.0))
+    assert _kernels.bell_values(ch, she, shi, np.array([0.01, 0.02]), np.pi, 0.0).shape == (2,)
+    # the state, the vacuum and the mode-swapped state
+    s = np.array([[ch, she, shi], [1.0, 0.0, 0.0], [ch, shi, she]])
+    grid = _kernels.bell_values(s[:, 0, None], s[:, 1, None], s[:, 2, None], np.linspace(0.0, 0.1, 4), np.pi, 0.0)
     assert grid.shape == (3, 4)
-    single = _kernels.bell_values(m[2, 0], m[2, 1], m[2, 2], 0.1, np.pi, 0.0)
+    single = _kernels.bell_values(s[2, 0], s[2, 1], s[2, 2], 0.1, np.pi, 0.0)
     assert abs(grid[2, 3] - single) <= 1e-15
 
 
@@ -51,8 +52,7 @@ def test_bell_values_matches_mpmath(rng):
         lam, gamma = rng.uniform(0.0, 1.5), rng.uniform(-2.0, 2.0)
         j = rng.uniform(0.0, 2.0)
         theta, phi = rng.uniform(0.0, 2 * np.pi, 2)
-        c = coefficients(SqueezeParams(lam, gamma))
-        value = _kernels.bell_values(c.m1, c.m2, c.m3, j, theta, phi)
+        value = _kernels.bell_values(*squeezer_entries(SqueezeParams(lam, gamma)), j, theta, phi)
         worst = max(worst, float(abs(mpmath.mpf(float(value)) - _bell_mp(lam, gamma, j, theta, phi))))
     assert worst <= 1e-13
 
@@ -66,7 +66,7 @@ def chsh_from_wigner_bound(params, setting):
     """A bound on the error of ``bell_from_wigner``: each term pi^2 W = exp(-|G x|^2) is off by
     exp(E) - 1 relative from its exponent's error E at the rounded point, by exp's rounding, and
     by 12U for pi, its square, the division and the product by pi^2 and the three additions."""
-    g, bound = _gaussian_form(params), 0.0
+    g, bound = gaussian_form_matrix(params), 0.0
     for point, _ in _chsh_points(setting):
         x = np.array([point.q1, point.p1, point.q2, point.p2])
         v = g @ x
@@ -75,39 +75,51 @@ def chsh_from_wigner_bound(params, setting):
     return bound
 
 
-def test_bell_values_over_the_envelope(rng):
-    # Outside the paper region t3's exponent -2J(a + b) + 4J cos(theta + phi) m3 cancels
-    # terms of size 2J(m1 + m2), most of all near theta = -phi, so the kernel holds 1e-13
-    # only up to the rounding of that exponent: 8 eps J (m1 + m2 + 2|m3|) |t3|.
-    points = [(5.0, 0.0, 10.0, -0.4, 0.4)]  # off by 1.06e-10 there, with B = 0.0018
+def envelope_settings(rng):
+    """The outer corner (5, 0, 10, -0.4, 0.4) and 600 box draws of (lam, gamma, J, theta, phi):
+    gamma near 0 for half of them, and theta near -phi for two thirds, where the joint term's
+    m-coefficient exponent -2J(a + b) + 4J cos(theta + phi) m3 cancels terms of size 2J(m1 + m2)."""
+    points = [(5.0, 0.0, 10.0, -0.4, 0.4)]  # B = 0.0018 there
     for k in range(600):
         lam, j, phi = rng.uniform(0.0, 5.0), rng.uniform(0.0, 10.0), rng.uniform(0.0, 2 * np.pi)
         gamma = rng.uniform(-5.0, 5.0) * (1.0 if k % 2 else 10.0 ** -rng.uniform(0.0, 4.0))
         theta = rng.uniform(0.0, 2 * np.pi) if k % 3 == 0 else -phi + rng.uniform(-1.0, 1.0) * 10.0 ** -rng.uniform(0.0, 6.0)
         points.append((lam, gamma, j, theta, phi))
-    worst, worst_wigner, worst_wigner_ratio, rounding_terms = 0.0, 0.0, 0.0, []
+    return points
+
+
+def m_form_rounding(lam, gamma, j, theta, phi):
+    """8 eps J (m1 + m2 + 2|m3|) t3: the rounding of the joint term's m-coefficient exponent."""
+    c = coefficients(SqueezeParams(lam, gamma))
+    a = c.m1 * np.cos(phi) ** 2 + c.m2 * np.sin(phi) ** 2
+    b = c.m1 * np.sin(theta) ** 2 + c.m2 * np.cos(theta) ** 2
+    t3 = np.exp(-2.0 * j * (a + b) + 4.0 * j * np.cos(theta + phi) * c.m3)
+    return 8 * EPS * j * (c.m1 + c.m2 + 2 * abs(c.m3)) * t3
+
+
+def test_bell_values_over_the_envelope(rng):
+    # Both routes sum three terms exp(-|G x|^2), whose forms cancel only G x's products, of size
+    # e^{2 lam + |gamma|} |x|, to |G x|.  The kernel takes the forms at (cos, sin) and scales their
+    # squares by 2J instead of forming the displaced point, so it rounds less than bell_from_wigner:
+    # each holds bell_from_wigner's bound, and 1e-13 flat
+    points = envelope_settings(rng)
+    # the sample reaches the points where the m-coefficient exponent held only 1e-13 + that rounding
+    assert sum(m_form_rounding(*point) > 1e-12 for point in points) >= 10
+    worst, worst_ratio, worst_wigner, worst_wigner_ratio = 0.0, 0.0, 0.0, 0.0
     for lam, gamma, j, theta, phi in points:
-        params = SqueezeParams(lam, gamma)
-        c = coefficients(params)
-        value = _kernels.bell_values(c.m1, c.m2, c.m3, j, theta, phi)
-        a = c.m1 * np.cos(phi) ** 2 + c.m2 * np.sin(phi) ** 2
-        b = c.m1 * np.sin(theta) ** 2 + c.m2 * np.cos(theta) ** 2
-        t3 = np.exp(-2.0 * j * (a + b) + 4.0 * j * np.cos(theta + phi) * c.m3)
-        rounding_terms.append(8 * EPS * j * (c.m1 + c.m2 + 2 * abs(c.m3)) * t3)
+        params, setting = SqueezeParams(lam, gamma), BellSetting(j, theta, phi)
+        bound = chsh_from_wigner_bound(params, setting)
         exact = _bell_mp(lam, gamma, j, theta, phi)
+        value = _kernels.bell_values(*squeezer_entries(params), j, theta, phi)
         error = float(abs(mpmath.mpf(float(value)) - exact))
-        worst = max(worst, error / (1e-13 + rounding_terms[-1]))
-        setting = BellSetting(j, theta, phi)
+        worst, worst_ratio = max(worst, error), max(worst_ratio, error / bound)
         wigner_error = float(abs(mpmath.mpf(bell_from_wigner(params, setting).value) - exact))
         worst_wigner = max(worst_wigner, wigner_error)
-        worst_wigner_ratio = max(worst_wigner_ratio, wigner_error / chsh_from_wigner_bound(params, setting))
-    assert worst <= 1.0
-    # the sample reaches the points where the plain 1e-13 does not hold
-    assert sum(term > 1e-12 for term in rounding_terms) >= 10
-    # bell_from_wigner sums exp(-|G x|^2), which cancels only G x's products, of size
-    # e^{2 lam + |gamma|} |x|, to |G x|: it holds its bound, and 1e-13 flat, at the same points
-    assert worst_wigner_ratio <= 1.0
-    assert worst_wigner <= 1e-13
+        worst_wigner_ratio = max(worst_wigner_ratio, wigner_error / bound)
+    assert worst_ratio <= 1.0 and worst_wigner_ratio <= 1.0
+    # 7.7e-15 on this sample and up to 2.3e-14 at seeds 0-3; the m-coefficient exponent was off
+    # by 1.06e-10 at the outer corner
+    assert worst <= 1e-13 and worst_wigner <= 1e-13
 
 
 def reference_teleport_integrand(xs, ys, m_mat, chi_in):

@@ -21,6 +21,7 @@ from asymsqueeze import (
     fidelity_squeezed_closed,
 )
 from asymsqueeze._kernels import bell_values
+from asymsqueeze.state import squeezer_entries, squeezer_grid
 
 FIELDS = tuple(field.name for field in dataclasses.fields(Coefficients))
 LAM = st.floats(min_value=0.0, max_value=5.0)
@@ -33,12 +34,16 @@ EPS = np.finfo(float).eps
 @settings(max_examples=150, deadline=None)
 @given(st.lists(LAM, min_size=1, max_size=4), st.lists(GAMMA, min_size=1, max_size=4))
 def test_grid_equals_scalar_coefficients(lams, gammas):
+    # and S's entries, the other routine over the same per-axis terms
     grid = coefficients_grid(np.array(lams), np.array(gammas))
+    entries = np.broadcast_arrays(*squeezer_grid(np.array(lams), np.array(gammas)))
     for i, lam in enumerate(lams):
         for k, gamma in enumerate(gammas):
             scalar = coefficients(SqueezeParams(lam, gamma))
             for field in FIELDS:
                 assert np.float64(getattr(grid, field)[i, k]).tobytes() == np.float64(getattr(scalar, field)).tobytes()
+            scalar_entries = squeezer_entries(SqueezeParams(lam, gamma))
+            assert np.array([entry[i, k] for entry in entries]).tobytes() == np.array(scalar_entries).tobytes()
 
 
 @settings(max_examples=500, deadline=None)
@@ -59,8 +64,7 @@ def test_mode_swap(lam, gamma):
 @settings(max_examples=300, deadline=None)
 @given(LAM, GAMMA, st.floats(min_value=0.0, max_value=2.0), ANGLE, ANGLE)
 def test_chsh_within_tsirelson_bound(lam, gamma, j, theta, phi):
-    c = coefficients(SqueezeParams(lam, gamma))
-    assert abs(bell_values(c.m1, c.m2, c.m3, j, theta, phi)) <= 2.0 * math.sqrt(2.0)
+    assert abs(bell_values(*squeezer_entries(SqueezeParams(lam, gamma)), j, theta, phi)) <= 2.0 * math.sqrt(2.0)
 
 
 @settings(max_examples=300, deadline=None)
