@@ -7,7 +7,7 @@ Kernels:
   * ``fock_series_table`` -- amplitude table of the squeezed vacuum, row by row
                              from its two ladder relations
   * ``teleport_integrand`` -- fidelity integrand |chi_in|^2 * chi_E(-eta*, -eta)
-                             on a tensor grid of Re/Im eta (61 x 61 in
+                             on a tensor grid of Re/Im eta (31 x 31 in
                              ``fidelity_quadrature``, whose trapezoid sampling
                              error is about 2 e^{-pi^2 (N-1)^2 / 144}), from
                              chi_E's exponent as the real 2x2 form q in (Re, Im)

@@ -16,9 +16,10 @@ floats.  JSON is a top-level {meta, grid} object with the bytes of
 ``json.dumps(..., sort_keys=True, indent=1)``, so its floats are Python's
 shortest round-trip repr.  Both read back as the same doubles.  A file is
 written as it is formatted, in blocks of at most ``_BLOCK_ROWS`` grid points:
-the calling thread formats each block while one writer thread, started and
-joined per file, opens the output, writes the blocks before it in order and
-closes it.  An exception on the writer thread is raised again in the caller.
+the calling thread formats each block.  A file of more than one block has one
+writer thread, started and joined per file, that opens the output, writes the
+blocks before it in order and closes it; an exception on it is raised again in
+the caller.  A one-block file is written on the calling thread once formatted.
 Floats are formatted exactly in numpy; Python formats the few values it cannot decide.
 
 Exit codes: 0 ok, 1 validation error (or a grid too large to allocate),
@@ -52,7 +53,7 @@ _AXIS_BOUNDS = {
     "theta": (-math.tau, math.tau),
     "phi": (-math.tau, math.tau),
 }
-_BLOCK_ROWS = 2**14  # grid points per block; at most four blocks' text is held: formatting, queued (2), writing
+_BLOCK_ROWS = 2**14  # grid points per block; a multi-block file holds at most four: formatting, queued (2), writing
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,10 +127,13 @@ def _write_output(path, fmt, quantity, source, axes, values):
     if path is None:
         sys.stdout.flush()
     # This thread formats each block and masks its NULs, so block-sized buffers come from its own
-    # malloc arena; the writer thread compacts each block and writes it while the next is formatted.
-    pending, failed = queue.Queue(2), []
-    writer = threading.Thread(target=_write_blocks, args=(path, pending, failed), name="asymsqueeze-writer")
-    writer.start()
+    # malloc arena.  With more than one block, a writer thread compacts each block and writes it while
+    # the next is formatted; one block has nothing to overlap, so this thread writes it once formatted.
+    threaded, failed = len(blocks) > 1, []
+    pending = queue.Queue(2 if threaded else 0)
+    if threaded:
+        writer = threading.Thread(target=_write_blocks, args=(path, pending, failed), name="asymsqueeze-writer")
+        writer.start()
     try:
         pending.put((head.encode(), slice(None)))
         for k, block in enumerate(blocks):
@@ -149,13 +153,16 @@ def _write_output(path, fmt, quantity, source, axes, values):
             pending.put((tail.encode(), slice(None)))
     finally:
         pending.put(None)
-        writer.join()
+        if threaded:
+            writer.join()
+    if not threaded:
+        _write_blocks(path, pending, failed)
     if failed:
         raise failed[0]
 
 
 def _write_blocks(path, pending, failed):
-    """The writer thread: opens ``path`` (stdout if None), writes ``data[keep]`` of each pair taken from
+    """The writer: opens ``path`` (stdout if None), writes ``data[keep]`` of each pair taken from
     ``pending`` until None, flushes and closes.  Its first exception goes to ``failed``, and it then
     takes what is left up to the None, so the caller's puts never wait for good."""
     item = ()

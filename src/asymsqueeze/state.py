@@ -127,10 +127,16 @@ def _squeezer(lam_terms, gamma_terms):
 
 def _per_axis(lams, gammas, combine):
     """``combine`` over the grid lams x gammas, lams first: the hyperbolic functions are taken once per
-    axis value (validated as ``SqueezeParams`` validates it) and only ``combine``'s + - * / runs per grid
-    point, so every entry equals the scalar route's at its (lam, gamma) bit for bit."""
-    lam_terms = [_lambda_terms(SqueezeParams(lam).lam) for lam in np.asarray(lams, dtype=float).tolist()]
-    gamma_terms = [_gamma_terms(SqueezeParams(0.0, g).gamma) for g in np.asarray(gammas, dtype=float).tolist()]
+    axis value and only ``combine``'s + - * / runs per grid point, so every entry equals the scalar
+    route's at its (lam, gamma) bit for bit.  The envelope is a box, so each axis is validated as
+    ``SqueezeParams`` validates it at its least and greatest value, NaN if the axis holds one."""
+    lams, gammas = np.asarray(lams, dtype=float), np.asarray(gammas, dtype=float)
+    for lam in (lams.min(), lams.max()) if lams.size else ():
+        SqueezeParams(float(lam))
+    for gamma in (gammas.min(), gammas.max()) if gammas.size else ():
+        SqueezeParams(0.0, float(gamma))
+    lam_terms = [_lambda_terms(lam) for lam in lams.tolist()]
+    gamma_terms = [_gamma_terms(gamma) for gamma in gammas.tolist()]
     return combine(np.array(lam_terms).T[:, :, None], np.array(gamma_terms).T[:, None, :])
 
 
@@ -145,8 +151,9 @@ def coefficients_grid(lams, gammas) -> Coefficients:
 
 
 def squeezer_entries(params: SqueezeParams) -> tuple:
-    """S's entries (cosh lam, e^gamma sinh lam, e^-gamma sinh lam), as ``_kernels.gaussian_forms`` takes them."""
-    return _squeezer(_lambda_terms(params.lam), _gamma_terms(params.gamma))
+    """S's entries (cosh lam, e^gamma sinh lam, e^-gamma sinh lam), as ``_kernels.gaussian_forms`` takes them:
+    ``_squeezer`` on the leading terms of ``_lambda_terms`` and ``_gamma_terms``, the only ones it reads."""
+    return _squeezer((math.sinh(params.lam), math.cosh(params.lam)), (math.exp(params.gamma),))
 
 
 def squeezer_grid(lams, gammas) -> tuple:

@@ -35,7 +35,7 @@ from .state import SqueezeParams, coefficients, squeezer_entries
 _AMPLITUDE_MAX = 10.0
 _SQUEEZE_MAX = 3.0
 _DECAY_FLOOR = 1e-3
-_NODES = 61  # odd, so eta = 0 is a node
+_NODES = 31  # odd, so eta = 0 is a node
 # (Re eta, Im eta) -> the (q1, p1, q2, p2) vector of (alpha, beta) = (-eta*, -eta), over sqrt(2)
 _ETA_TO_PHASE = np.array([[-1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -118,7 +118,7 @@ def fidelity_quadrature(state: InputState, params: SqueezeParams) -> Fidelity:
     The real 2x2 form q = g^T g / 2 is built once per call as a Gram product, in which
     no large terms cancel: it holds -f I to about eps e^{2 lam} relative, the rounding
     of g's entries cosh(lam) - e^{+-gamma} sinh(lam).  The integrand
-    |chi_in|^2 * chi_E is evaluated point by point on a 61 x 61 grid
+    |chi_in|^2 * chi_E is evaluated point by point on a 31 x 31 grid
     (``_NODES``, ``_kernels.teleport_integrand``).  It is a centered Gaussian,
     and so is |chi_in|^2 alone, with no cross term; each axis decay rate c is
     q's diagonal entry plus -2 ln|chi_in| at unit distance (eta = 1, eta = i),
@@ -127,7 +127,7 @@ def fidelity_quadrature(state: InputState, params: SqueezeParams) -> Fidelity:
     erfc(6) ~ 2e-17 of the integral.  On a Gaussian the trapezoid rule
     converges geometrically (Trefethen & Weideman, SIAM Review 56, 385, 2014):
     with N nodes over [-R, R] its sampling error on e^{-c x^2} is about
-    2 e^{-pi^2 (N-1)^2 / 144} of the integral, e^{-247} at N = 61, so the
+    2 e^{-pi^2 (N-1)^2 / 144} of the integral, 3e-27 at N = 31, so the
     grid's only visible error is rounding.  A cross term x y does not change
     this, because at fixed y the x^2 coefficient is still c.  A decay rate
     below ``_DECAY_FLOOR`` (or NaN) means a non-normalizable integrand and

@@ -198,6 +198,20 @@ def threads_joined():
     assert threading.active_count() == before
 
 
+@pytest.fixture(params=[False, True], ids=["one-block", "multi-block"])
+def multi_block(request, monkeypatch):
+    """Whether the sweep is cut into blocks of 7 rows, which a writer thread writes; else the sweeps
+    of the tests that take it fit in one block, which the calling thread writes."""
+    if request.param:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    return request.param
+
+
+def writes_on(thread, multi_block):
+    """Whether ``thread`` is the one that writes a sweep's output: the writer thread for more than one block."""
+    return (thread is not threading.main_thread()) is multi_block
+
+
 @pytest.mark.usefixtures("threads_joined")
 class TestWriterBytes:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -291,7 +305,7 @@ class TestWriterStreams:
 
     @pytest.mark.parametrize("per_write, capacity, code", [(1000, math.inf, 0), (math.inf, 1000, 3)],
                              ids=["short-writes", "full-device"])
-    def test_short_writes(self, per_write, capacity, code, tmp_path, monkeypatch, capsys):
+    def test_short_writes(self, per_write, capacity, code, multi_block, tmp_path, monkeypatch, capsys):
         # a short write is written again from where it stopped; a write that stores nothing is an i/o error
         argv = WRITER_CASES["bell-clip"] + ["--format", "json", "--output", str(tmp_path / "out")]
         assert main(argv) == 0
@@ -305,9 +319,9 @@ class TestWriterStreams:
             assert re.fullmatch(r"i/o error: \d+ bytes of the output were not written\n", capsys.readouterr().err)
         else:
             assert stored == expected
-        assert device.closed_by is device.opened_by is not threading.main_thread()
+        assert device.closed_by is device.opened_by and writes_on(device.opened_by, multi_block)
 
-    def test_closed_pipe_on_the_writer_thread_exits_3(self, monkeypatch, capsys):
+    def test_closed_pipe_on_the_writer_thread_exits_3(self, multi_block, monkeypatch, capsys):
         # the same failure as test_closed_stdout_pipe_exits_3, in this process
         read, write = os.pipe()
         os.close(read)
@@ -344,9 +358,17 @@ class TestWriterStreams:
         assert expected.startswith(bytes(device.stored)) and len(device.stored) < len(expected)
         assert device.closed_by is device.opened_by is not threading.main_thread()
 
-    def test_open_failure_on_the_writer_thread_exits_3(self, tmp_path, capsys):
+    def test_open_failure_on_the_writer_thread_exits_3(self, multi_block, tmp_path, monkeypatch, capsys):
+        openers = []
+
+        def recording_open(*args, **kwargs):
+            openers.append(threading.current_thread())
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
         assert main(WRITER_CASES["bell-clip"] + ["--output", str(tmp_path / "missing" / "out")]) == 3
         assert capsys.readouterr().err.startswith("i/o error: [Errno 2] No such file or directory: ")
+        assert len(openers) == 1 and writes_on(openers[0], multi_block)
 
 
 class ShortWriteFile:

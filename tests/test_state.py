@@ -25,7 +25,7 @@ from asymsqueeze import (
     wigner_closed,
 )
 from asymsqueeze import _kernels
-from asymsqueeze.state import log_negativity_closed, log_negativity_values
+from asymsqueeze.state import log_negativity_closed, log_negativity_values, squeezer_grid
 
 
 def random_params(rng, lam_hi=1.5, gamma_hi=2.0):
@@ -160,10 +160,14 @@ class TestCoefficientsGrid:
         assert log_negativity_values(0.75).shape == () and same_bits(log_negativity_values(0.75), math.asinh(0.75))
 
     @pytest.mark.parametrize("lams, gammas", [([0.5, 5.5], [0.0]), ([-0.1], [0.0]), ([0.5], [1.0, -6.0]),
-                                              ([0.5], [np.nan])])
+                                              ([0.5], [np.nan])]
+                             # a bad value inside an axis, where neither end shows it
+                             + [([0.5, bad, 1.0], [0.0]) for bad in (np.nan, np.inf, -np.inf, 5.5, -0.1, -6.0)]
+                             + [([0.5], [1.0, bad, -1.0]) for bad in (np.nan, np.inf, -np.inf, 5.5, -6.0)])
     def test_validates_each_axis_value(self, lams, gammas):
-        with pytest.raises(ValidationError):
-            coefficients_grid(np.array(lams), np.array(gammas))
+        for grid in (coefficients_grid, squeezer_grid):
+            with pytest.raises(ValidationError):
+                grid(np.array(lams), np.array(gammas))
 
 
 class TestCovariance:

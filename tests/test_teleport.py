@@ -202,9 +202,13 @@ class TestQuadrature:
         ]
         assert max(values) - min(values) < 1e-12
 
+    def test_sampling_error_bound_at_the_node_count(self):
+        # the trapezoid sampling error that fidelity_quadrature's docstring states, far below a double's rounding
+        assert 2.0 * math.exp(-math.pi ** 2 * (teleport._NODES - 1) ** 2 / 144.0) < 1e-20
+
     def test_node_count_gives_the_bits_of_181_nodes(self, rng, monkeypatch):
-        # the trapezoid sampling error 2 exp(-pi^2 (N-1)^2 / 144) is e^{-247} at N = 61,
-        # so the grid that was used before, 181 nodes, adds nothing but rounding
+        # the trapezoid sampling error 2 exp(-pi^2 (N-1)^2 / 144) is 3e-27 at N = 31,
+        # so a finer grid, such as the 181 nodes once used, adds nothing but rounding
         assert teleport._NODES % 2 == 1  # eta = 0 is a node
         calls = []
         for _ in range(100):
