@@ -17,10 +17,11 @@ point, and CF = sum |Z_kl|^2 e_k f_l with e = e^{-i sqrt2 |alpha| x} and
 f = e^{-i sqrt2 |beta| x}; O is built so that O^T Pi O is the reversal
 k -> k' = cutoff - k, which gives pi^2 W = sum e_k^2 conj(Z_kl) Z_k'l' f_l^2.
 
-The two-mode state is held as its (cutoff+1) x (cutoff+1) amplitude matrix C,
-on which an operator A x B acts as A C B^T; no joint-space matrix is ever
-formed.  Evaluations are self-contained and reentrant; parallelize across
-parameter points rather than inside a single evaluation.
+The two-mode state is held as its (cutoff+1) x (cutoff+1) amplitude matrix C, on which
+an operator A x B acts as A C B^T; no joint-space matrix is ever formed.  With P = -i p',
+-i G = -(lam1 q x p' + lam2 p' x q) is real, so both builders' C are float64 and the
+readers multiply it in real arithmetic, except ``phase_space``, whose rotations are complex.
+Evaluations are self-contained and reentrant; parallelize across parameter points.
 """
 
 from __future__ import annotations
@@ -45,10 +46,9 @@ _EPS = np.finfo(float).eps
 
 
 def _quadratures(dim):
+    """The real pair (q, p') = ((a + a')/sqrt2, (a - a')/sqrt2) of one mode, P = -i p'."""
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)  # the annihilation operator
-    q = (a + a.T) / math.sqrt(2.0)
-    p = -1j * (a - a.T) / math.sqrt(2.0)
-    return q, p
+    return (a + a.T) / math.sqrt(2.0), (a - a.T) / math.sqrt(2.0)
 
 
 @functools.cache
@@ -71,6 +71,7 @@ def _quadrature_eigh(dim):
 class FockState2:
     """Truncated two-mode state: amplitude tensor c[m, n], 0 <= m, n <= cutoff.
 
+    The amplitudes, a copy, keep the table's number type (complex if it is complex, else float64), and
     ``cutoff`` and ``norm_deficit`` = 1 - sum |c|^2 (truncation loss, never renormalized away)
     are read off the table.  A table that is not square and at least 1 x 1 raises
     ValidationError; a deficit below -(cutoff+1)^2 eps (the sum's rounding), any
@@ -82,7 +83,7 @@ class FockState2:
     norm_deficit: float = field(init=False)
 
     def __post_init__(self):
-        table = np.asarray(self.amplitudes, dtype=complex)
+        table = np.array(self.amplitudes, dtype=complex if np.iscomplexobj(self.amplitudes) else float)
         if table.ndim != 2 or not table.shape[0] == table.shape[1] > 0:
             raise ValidationError(f"amplitudes must be a square table of at least 1 x 1, got shape {table.shape}")
         deficit = float(1.0 - np.sum(np.abs(table) ** 2))
@@ -165,10 +166,9 @@ def build_state_exponential(params: SqueezeParams, cutoff: int) -> FockState2:
     lam1, lam2 = params.lam1, params.lam2
     bound = min((abs(lam1) + abs(lam2)) * _quadrature_eigh(d)[0][-1] ** 2, _row_sum_bound(lam1, lam2, d))
     weights = _chebyshev_weights(bound)
-    # p = -i p' with p' real, so -i G C = lam1 q C p' - lam2 p' C q: with X_eo = X[even, odd] padded to
+    # P = -i p', so -i G C = lam1 q C p' - lam2 p' C q: with X_eo = X[even, odd] padded to
     # h x h, the odd block D goes to the even block lam1 q_eo D p'_oe - lam2 p'_eo D q_oe, and back.
-    q, p = _quadratures(d)
-    padded = [np.pad(x, (0, 2 * h - d)) for x in (q, (1j * p).real)]
+    padded = [np.pad(x, (0, 2 * h - d)) for x in _quadratures(d)]
     q_b, p_b = (np.stack([x[0::2, 1::2], x[1::2, 0::2]]) for x in padded)  # [X_eo, X_oe]
     scale = 2.0 / bound if len(weights) > 1 else 0.0
     left = np.concatenate([(scale * lam1) * q_b, (-scale * lam2) * p_b], axis=2)
@@ -204,13 +204,11 @@ def covariance_numeric(state: FockState2) -> CovarianceMatrix:
     """Symmetrized second moments of the truncated quadrature operators; moments that miss the
     uncertainty relation (exact ones never do) raise CutoffTooSmallError with the edge mass."""
     _require_converged(state)
-    d = state.cutoff + 1
-    q, p = _quadratures(d)
+    q, p = _quadratures(state.cutoff + 1)
     c = state.amplitudes
-    # (A x B)|psi> in amplitude-matrix form is A C B^T; quadratures act on one
-    # mode at a time.  <psi|(X_i X_j + X_j X_i)/2|psi> = Re <X_i psi|X_j psi>,
-    # the real part of the Gram matrix of the four vectors.
-    vecs = np.stack([q @ c, p @ c, c @ q.T, c @ p.T]).reshape(4, -1)  # Q1, P1, Q2, P2 applied to psi
+    # (A x B)|psi> in amplitude-matrix form is A C B^T, and P = -i p'.  <psi|(X_i X_j + X_j X_i)/2|psi> =
+    # Re <X_i psi|X_j psi>, the real part of the Gram matrix of Q1, P1, Q2 and P2 applied to psi.
+    vecs = np.stack([q @ c, -1j * (p @ c), c @ q.T, -1j * (c @ p.T)]).reshape(4, -1)
     try:
         return CovarianceMatrix((vecs.conj() @ vecs.T).real)
     except InvalidCovarianceError as exc:

@@ -74,18 +74,19 @@ def sigma_entries(m1, m2, m3):
 def lambda_terms():
     """``state._lambda_terms`` on the symbol u = e^lam, in its order."""
     ch, sh = sp.cosh(LAM), sp.sinh(LAM)
-    return [rational(t) for t in (sh, ch, ch ** 2, sh ** 2, sp.sinh(2 * LAM), sp.exp(-2 * LAM), sp.exp(-LAM))]
+    return [rational(t) for t in (sh, ch ** 2, sh ** 2, sp.sinh(2 * LAM), sp.exp(-2 * LAM), sp.exp(-LAM))]
 
 
 def gamma_terms(v):
     """``state._gamma_terms`` on the symbol v = e^gamma, or at v = 1 (gamma = 0), in its order."""
     gamma = sp.log(v)
-    return [rational(t) for t in (v, v ** 2, v ** -2, sp.cosh(gamma), 4 * sp.sinh(gamma / 2) ** 2)]
+    return [rational(t) for t in (v ** 2, v ** -2, sp.cosh(gamma), 4 * sp.sinh(gamma / 2) ** 2)]
 
 
 M1, M2, M3, F = (rational(c) for c in coefficient_formulas(sp, LAM, GAMMA))
 CH, SH = rational(sp.cosh(LAM)), rational(sp.sinh(LAM))
-ENTRIES = state._squeezer(lambda_terms(), gamma_terms(V))  # cosh lam, e^gamma sinh lam, e^-gamma sinh lam
+# ``state._squeezer`` on ``_squeezer_lambda_terms`` (sinh lam, cosh lam) and ``_squeezer_gamma_terms`` (e^gamma,)
+ENTRIES = state._squeezer((SH, CH), (V,))  # cosh lam, e^gamma sinh lam, e^-gamma sinh lam
 OMEGA = sp.Matrix(SYMPLECTIC_FORM.astype(int))
 S = sp.Matrix(s_entries(CH, SH, V))
 SIGMA = sp.Matrix(sigma_entries(M1, M2, M3))

@@ -33,10 +33,24 @@ from asymsqueeze.fock import _chebyshev_weights, _quadrature_eigh, _quadratures,
 EPS = np.finfo(float).eps
 
 
+def ladder(dim):
+    """The truncated annihilation operator, a|n> = sqrt(n) |n - 1>."""
+    a = np.zeros((dim, dim))
+    for n in range(dim - 1):
+        a[n, n + 1] = math.sqrt(n + 1)
+    return a
+
+
+def ladder_quadratures(dim):
+    """Q = (a + a')/sqrt2 and the Hermitian P = -i (a - a')/sqrt2, from ``ladder``, not from ``fock``."""
+    a = ladder(dim)
+    return (a + a.T) / math.sqrt(2.0), -1j * (a - a.T) / math.sqrt(2.0)
+
+
 def dense_state(params, cutoff):
     """exp(-i G)|00> by eigen-decomposition of the kron-built joint-space generator."""
     d = cutoff + 1
-    q, p = _quadratures(d)
+    q, p = ladder_quadratures(d)
     gen = params.lam1 * np.kron(q, p) + params.lam2 * np.kron(p, q)
     w, u = np.linalg.eigh(gen)
     return (u @ (np.exp(-1j * w) * u[0].conj())).reshape(d, d)
@@ -44,13 +58,18 @@ def dense_state(params, cutoff):
 
 class TestOperators:
     def test_quadratures_hermitian(self):
-        for op in _quadratures(7):
-            assert np.max(np.abs(op - op.conj().T)) < 1e-12
+        # the real pair: q symmetric and p' antisymmetric, so q and P = -i p' are Hermitian, and they are
+        # the ladder operator's
+        q, p = _quadratures(7)
+        assert q.dtype == p.dtype == np.float64
+        assert np.array_equal(q, q.T) and np.array_equal(p, -p.T)
+        ref_q, ref_p = ladder_quadratures(7)
+        assert np.max(np.abs(q - ref_q)) < 1e-15 and np.max(np.abs(-1j * p - ref_p)) < 1e-15
 
     def test_canonical_commutator_on_retained_block(self):
-        # [q, p] = i away from the truncation edge
+        # [q, P] = i with P = -i p', away from the truncation edge
         q, p = _quadratures(9)
-        comm = q @ p - p @ q
+        comm = -1j * (q @ p - p @ q)
         assert np.allclose(comm[:8, :8], 1j * np.eye(8), atol=1e-12)
 
     @pytest.mark.parametrize("cutoff", [10, 21, 40, 80])
@@ -66,9 +85,7 @@ class TestOperators:
 
 def dense_displacement(cutoff, alpha):
     """exp(alpha a' - alpha* a) from an eigh of its own generator i(alpha a' - alpha* a)."""
-    a = np.zeros((cutoff + 1, cutoff + 1))
-    for n in range(cutoff):
-        a[n, n + 1] = math.sqrt(n + 1)
+    a = ladder(cutoff + 1)
     w, u = np.linalg.eigh(1j * (alpha * a.T - np.conj(alpha) * a))
     return u @ (np.exp(-1j * w)[:, None] * u.conj().T)
 
@@ -261,7 +278,7 @@ class TestStateConstruction:
     @pytest.mark.parametrize("cutoff", [10, 11, 12, 13, 14])
     def test_row_sum_bound_is_the_largest_row_sum_and_bounds_the_norm(self, cutoff):
         d = cutoff + 1
-        q, p = _quadratures(d)
+        q, p = ladder_quadratures(d)
         for lam in (0.0, 1e-8, 0.3, 1.5):
             for gamma in (-3.0, -0.5, 0.0, 0.7, 5.0):
                 params = SqueezeParams(lam, gamma)
@@ -331,6 +348,44 @@ class TestStateConstruction:
             a.overlap(b)
 
 
+class TestNumberType:
+    """The state is real in the number basis, so the builders keep it real; a complex table stays complex."""
+
+    def test_builders_return_float64_and_a_complex_table_stays_complex(self, rng):
+        params = SqueezeParams(0.5, 1.0)
+        for state in (build_state_exponential(params, 40), fock_amplitudes(params, 40)):
+            assert state.amplitudes.dtype == np.float64
+        assert FockState2([[1]]).amplitudes.dtype == np.float64
+        assert random_state(rng, 20).amplitudes.dtype == np.complex128
+        table = np.zeros((3, 3), dtype=complex)
+        table[0, 0] = 1.0
+        state = FockState2(table)  # a copy: changing the table afterwards leaves the state as it was
+        table[0, 0] = 0.5
+        assert state.amplitudes[0, 0] == 1.0 and state.amplitudes.dtype == np.complex128
+
+    @pytest.mark.parametrize("build", [build_state_exponential, fock_amplitudes])
+    def test_readers_agree_on_the_real_table_and_its_complex_copy(self, build):
+        # real and complex BLAS/LAPACK may round differently: each reader's values agree within
+        # 8 eps max(1, |value|), a few ulps (measured: 0 for all but E_N, 2 eps, and overlap, 1 eps)
+        params = SqueezeParams(0.5, 1.0)
+        real = build(params, 40)
+        copy = FockState2(real.amplitudes.astype(complex))
+        other = build_state_exponential(params, 40) if build is fock_amplitudes else fock_amplitudes(params, 40)
+        points = verify.check_points("fine") + [PhasePoint.from_complex(2.5 + 3j, -4j)]
+
+        def agree(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            return np.all(np.abs(a - b) <= 8 * EPS * np.maximum(1.0, np.abs(a)))
+
+        assert agree(covariance_numeric(real).entries, covariance_numeric(copy).entries)
+        assert agree(log_negativity_numeric(real), log_negativity_numeric(copy))
+        for value, copied in zip(phase_space(real, points), phase_space(copy, points)):
+            assert agree(value, copied)
+        assert agree(real.overlap(other), copy.overlap(FockState2(other.amplitudes.astype(complex))))
+        assert agree(real.overlap(real), copy.overlap(copy))
+        assert agree(real.edge_mass(), copy.edge_mass()) and agree(real.norm_deficit, copy.norm_deficit)
+
+
 class TestCovarianceNumeric:
     def test_vacuum(self):
         state = build_state_exponential(SqueezeParams(0.0, 0.0), 10)
@@ -345,7 +400,7 @@ class TestCovarianceNumeric:
 
     def test_first_moments_vanish(self):
         state = build_state_exponential(SqueezeParams(0.4, 0.9), 24)
-        q, p = _quadratures(25)
+        q, p = ladder_quadratures(25)
         c = state.amplitudes
         for moved in (q @ c, c @ p.T):  # Q1 and P2 applied to psi
             assert abs(np.vdot(c, moved)) < 1e-12
