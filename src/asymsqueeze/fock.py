@@ -206,11 +206,12 @@ def covariance_numeric(state: FockState2) -> CovarianceMatrix:
     _require_converged(state)
     q, p = _quadratures(state.cutoff + 1)
     c = state.amplitudes
-    # (A x B)|psi> in amplitude-matrix form is A C B^T, and P = -i p'.  <psi|(X_i X_j + X_j X_i)/2|psi> =
-    # Re <X_i psi|X_j psi>, the real part of the Gram matrix of Q1, P1, Q2 and P2 applied to psi.
-    vecs = np.stack([q @ c, -1j * (p @ c), c @ q.T, -1j * (c @ p.T)]).reshape(4, -1)
+    # (A x B)|psi> in amplitude-matrix form is A C B^T.  <psi|(X_i X_j + X_j X_i)/2|psi> = Re <X_i psi|X_j psi>,
+    # and with (Q1, P1, Q2, P2) = phi * (q1, p1', q2, p2'), phi = (1, -i, 1, -i), that is Re(conj(phi_i) phi_j G_ij)
+    # for G the Gram matrix of q1, p1', q2 and p2' applied to psi: real for a real table.
+    vecs = np.stack([q @ c, p @ c, c @ q.T, c @ p.T]).reshape(4, -1)
     try:
-        return CovarianceMatrix((vecs.conj() @ vecs.T).real)
+        return CovarianceMatrix((np.outer([1, 1j, 1, 1j], [1, -1j, 1, -1j]) * (vecs.conj() @ vecs.T)).real)
     except InvalidCovarianceError as exc:
         message = f"cutoff {state.cutoff} truncates the moments: {exc}"
         raise CutoffTooSmallError(message, state.edge_mass(), "edge mass") from None

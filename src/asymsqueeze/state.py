@@ -92,24 +92,15 @@ class Coefficients:
 
 
 def _lambda_terms(lam):
-    """Every function of lam alone that the coefficients use."""
-    sh = math.sinh(lam)
-    return sh, math.cosh(lam) ** 2, sh ** 2, math.sinh(2.0 * lam), math.exp(-2.0 * lam), math.exp(-lam)
+    """Every function of lam alone that S and the coefficients use, sinh lam and cosh lam (S's) first."""
+    sh, ch = math.sinh(lam), math.cosh(lam)
+    return sh, ch, ch ** 2, sh ** 2, math.sinh(2.0 * lam), math.exp(-2.0 * lam), math.exp(-lam)
 
 
 def _gamma_terms(gamma):
-    """Every function of gamma alone that the coefficients use."""
-    return math.exp(2.0 * gamma), math.exp(-2.0 * gamma), math.cosh(gamma), 4.0 * math.sinh(0.5 * gamma) ** 2
-
-
-def _squeezer_lambda_terms(lam):
-    """The functions of lam alone that S uses, sinh lam and cosh lam."""
-    return math.sinh(lam), math.cosh(lam)
-
-
-def _squeezer_gamma_terms(gamma):
-    """The function of gamma alone that S uses, e^gamma."""
-    return (math.exp(gamma),)
+    """Every function of gamma alone that S and the coefficients use, e^gamma (S's) first."""
+    return (math.exp(gamma), math.exp(2.0 * gamma), math.exp(-2.0 * gamma), math.cosh(gamma),
+            4.0 * math.sinh(0.5 * gamma) ** 2)
 
 
 def _combine(lam_terms, gamma_terms) -> Coefficients:
@@ -118,8 +109,8 @@ def _combine(lam_terms, gamma_terms) -> Coefficients:
     Only + - * / appear here, each correctly rounded, so broadcast arrays of
     terms give bit for bit the coefficients that floats give.
     """
-    sh, c2, s2, sinh2l, e2l, el = lam_terms
-    e2g, em2g, chg, shhalf4 = gamma_terms
+    sh, _, c2, s2, sinh2l, e2l, el = lam_terms
+    _, e2g, em2g, chg, shhalf4 = gamma_terms
     m1 = c2 + e2g * s2
     m2 = c2 + em2g * s2
     m3 = chg * sinh2l
@@ -130,22 +121,25 @@ def _combine(lam_terms, gamma_terms) -> Coefficients:
 
 def _squeezer(lam_terms, gamma_terms):
     """S's three entries cosh lam, e^gamma sinh lam and e^-gamma sinh lam from the terms of each variable."""
-    (sh, ch), (eg,) = lam_terms, gamma_terms
+    (sh, ch), eg = lam_terms[:2], gamma_terms[0]
     return ch, sh * eg, sh / eg
 
 
-def _per_axis(lams, gammas, lam_terms, gamma_terms, combine):
-    """``combine`` over the grid lams x gammas, lams first: ``lam_terms`` and ``gamma_terms`` run once per
-    axis value and only ``combine``'s + - * / runs per grid point, so every entry equals the scalar
-    route's at its (lam, gamma) bit for bit.  The envelope is a box, so each axis is validated as
-    ``SqueezeParams`` validates it at its least and greatest value, NaN if the axis holds one."""
+def _per_axis(lams, gammas, combine):
+    """``combine`` over the grid lams x gammas, lams first: ``_lambda_terms`` and ``_gamma_terms`` run once
+    per axis value and only ``combine``'s + - * / runs per grid point, so every entry equals the scalar
+    route's at its (lam, gamma) bit for bit.  The envelope is a box, so each axis, which must not be empty,
+    is validated as ``SqueezeParams`` validates it at its least and greatest value, NaN if the axis holds one."""
     lams, gammas = np.asarray(lams, dtype=float), np.asarray(gammas, dtype=float)
-    for lam in (lams.min(), lams.max()) if lams.size else ():
+    for name, axis in (("lambda", lams), ("gamma", gammas)):
+        if not axis.size:
+            raise ValidationError(f"the {name} axis is empty")
+    for lam in (lams.min(), lams.max()):
         SqueezeParams(float(lam))
-    for gamma in (gammas.min(), gammas.max()) if gammas.size else ():
+    for gamma in (gammas.min(), gammas.max()):
         SqueezeParams(0.0, float(gamma))
-    lam_axis = np.array([lam_terms(lam) for lam in lams.tolist()]).T[:, :, None]
-    gamma_axis = np.array([gamma_terms(gamma) for gamma in gammas.tolist()]).T[:, None, :]
+    lam_axis = np.array([_lambda_terms(lam) for lam in lams.tolist()]).T[:, :, None]
+    gamma_axis = np.array([_gamma_terms(gamma) for gamma in gammas.tolist()]).T[:, None, :]
     return combine(lam_axis, gamma_axis)
 
 
@@ -156,17 +150,17 @@ def coefficients(params: SqueezeParams) -> Coefficients:
 
 def coefficients_grid(lams, gammas) -> Coefficients:
     """``coefficients`` over the grid lams x gammas, each field a (lams, gammas) array (``_per_axis``)."""
-    return _per_axis(lams, gammas, _lambda_terms, _gamma_terms, _combine)
+    return _per_axis(lams, gammas, _combine)
 
 
 def squeezer_entries(params: SqueezeParams) -> tuple:
     """S's entries (cosh lam, e^gamma sinh lam, e^-gamma sinh lam), as ``_kernels.gaussian_forms`` takes them."""
-    return _squeezer(_squeezer_lambda_terms(params.lam), _squeezer_gamma_terms(params.gamma))
+    return _squeezer((math.sinh(params.lam), math.cosh(params.lam)), (math.exp(params.gamma),))
 
 
 def squeezer_grid(lams, gammas) -> tuple:
     """``squeezer_entries`` over the grid lams x gammas (``_per_axis``), cosh lam as a (lams, 1) column."""
-    return _per_axis(lams, gammas, _squeezer_lambda_terms, _squeezer_gamma_terms, _squeezer)
+    return _per_axis(lams, gammas, _squeezer)
 
 
 def covariance(params: SqueezeParams) -> CovarianceMatrix:

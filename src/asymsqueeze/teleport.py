@@ -93,17 +93,12 @@ def cf_input(state: InputState, eta):
     coherent  exp[-|eta|^2/2 + eta b* - eta* b],  eta b* - eta* b = 2i (y Re b - x Im b);
     squeezed  exp[-|eta|^2 cosh(2r)/2 - (eta^2 + eta*^2) sinh(2r)/4] = exp[-(e^{2r} x^2 + e^{-2r} y^2)/2],
               the second form free of the first's cancelling terms of size |eta|^2 cosh(2r)/2.
-    The coherent exponent's real and imaginary parts are written into one
-    complex array from real arrays, with no complex temporaries.
     """
     eta = np.asarray(eta, dtype=complex)
     x2, y2 = eta.real * eta.real, eta.imag * eta.imag
     if isinstance(state, Coherent):
         b = complex(state.amplitude)
-        exponent = np.empty(eta.shape, dtype=complex)
-        exponent.real = -0.5 * (x2 + y2)
-        exponent.imag = 2.0 * (eta.imag * b.real - eta.real * b.imag)
-        return np.exp(exponent)
+        return np.exp(-0.5 * (x2 + y2) + 2j * (eta.imag * b.real - eta.real * b.imag))
     if isinstance(state, SqueezedVacuum):
         return np.exp(-0.5 * (x2 * math.exp(2.0 * state.r) + y2 * math.exp(-2.0 * state.r)))
     raise ValidationError(f"unsupported input state {state!r}")

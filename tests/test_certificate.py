@@ -74,18 +74,19 @@ def sigma_entries(m1, m2, m3):
 def lambda_terms():
     """``state._lambda_terms`` on the symbol u = e^lam, in its order."""
     ch, sh = sp.cosh(LAM), sp.sinh(LAM)
-    return [rational(t) for t in (sh, ch ** 2, sh ** 2, sp.sinh(2 * LAM), sp.exp(-2 * LAM), sp.exp(-LAM))]
+    return [rational(t) for t in (sh, ch, ch ** 2, sh ** 2, sp.sinh(2 * LAM), sp.exp(-2 * LAM), sp.exp(-LAM))]
 
 
 def gamma_terms(v):
     """``state._gamma_terms`` on the symbol v = e^gamma, or at v = 1 (gamma = 0), in its order."""
     gamma = sp.log(v)
-    return [rational(t) for t in (v ** 2, v ** -2, sp.cosh(gamma), 4 * sp.sinh(gamma / 2) ** 2)]
+    return [rational(t) for t in (v, v ** 2, v ** -2, sp.cosh(gamma), 4 * sp.sinh(gamma / 2) ** 2)]
 
 
 M1, M2, M3, F = (rational(c) for c in coefficient_formulas(sp, LAM, GAMMA))
 CH, SH = rational(sp.cosh(LAM)), rational(sp.sinh(LAM))
-# ``state._squeezer`` on ``_squeezer_lambda_terms`` (sinh lam, cosh lam) and ``_squeezer_gamma_terms`` (e^gamma,)
+# ``state._squeezer`` on (sinh lam, cosh lam) and (e^gamma,), as ``squeezer_entries`` passes them and as they
+# lead ``_lambda_terms`` and ``_gamma_terms``, which ``squeezer_grid`` passes
 ENTRIES = state._squeezer((SH, CH), (V,))  # cosh lam, e^gamma sinh lam, e^-gamma sinh lam
 OMEGA = sp.Matrix(SYMPLECTIC_FORM.astype(int))
 S = sp.Matrix(s_entries(CH, SH, V))
@@ -335,6 +336,20 @@ def test_entanglement_exceeds_symmetric_state():
     assert vanishes(cosh_gamma - 1 - (V - 1) ** 2 / (2 * V)) and vanishes(s - (U ** 4 - 1) / (2 * U ** 2))
     root = (U ** 2 + U ** -2) / 2  # > 0, so it is sqrt(1 + s^2)
     assert vanishes(1 + s ** 2 - root ** 2) and vanishes(s + root - U ** 2)
+
+
+def test_chsh_maximum_increases_with_entanglement():
+    # maximize_bell's B_max = 1 + g(rho), g = (2 - 1/rho) rho^{-1/(2 rho - 1)}, rho = 1 + tanh E_N in [1, 2).
+    # Both factors of g are > 0, and d ln g / d rho = 2 ln rho / (2 rho - 1)^2 > 0 for rho > 1, where rho
+    # increases with E_N.  So B_max increases with E_N, and with test_entanglement_exceeds_symmetric_state,
+    # B_max(lam, gamma) > B_max(lam, 0) for lam > 0, gamma != 0 on the line theta = phi + pi/2.
+    rho, t = sp.symbols("rho t", positive=True)
+    e_n = sp.Symbol("E_N", nonnegative=True)
+    log_g = sp.expand_log(sp.log((2 - 1 / rho) * rho ** (-1 / (2 * rho - 1))), force=True)
+    slope = 2 * sp.log(rho) / (2 * rho - 1) ** 2
+    assert vanishes(sp.diff(log_g, rho) - slope)
+    assert slope.subs(rho, 1 + t).is_positive
+    assert sp.factor(sp.diff(sp.tanh(e_n).rewrite(sp.exp), e_n)).is_positive  # 4 e^{2 E_N} / (e^{2 E_N} + 1)^2
 
 
 def test_fidelity_gain_identity():

@@ -169,6 +169,12 @@ class TestCoefficientsGrid:
             with pytest.raises(ValidationError):
                 grid(np.array(lams), np.array(gammas))
 
+    @pytest.mark.parametrize("lams, gammas, name", [([], [0.0], "lambda"), ([0.5], [], "gamma")])
+    def test_rejects_an_empty_axis(self, lams, gammas, name):
+        for grid in (coefficients_grid, squeezer_grid):
+            with pytest.raises(ValidationError, match=f"the {name} axis is empty"):
+                grid(np.array(lams), np.array(gammas))
+
 
 class TestCovariance:
     def test_vacuum(self):
